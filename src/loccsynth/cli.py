@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -217,6 +218,11 @@ def cmd_bench(args) -> int:
                 "largest_step_ratio": round(largest_ratio, 3),
                 "window": [low, high],
                 "ok": verdict,
+                # The windows assume one BLAS thread; record what this run had.
+                "blas_threads": {
+                    var: os.environ.get(var)
+                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+                },
             }
         )
     )

@@ -21,10 +21,10 @@ from .linalg import (
     NonOrthogonalInputError,
     NotNormalizedError,
     StateVector,
-    _as_complex_array,
+    as_complex_array,
 )
 from .simulator import success_probability
-from .synthesis import Protocol, _check_pair, _synthesize_checked
+from .synthesis import Protocol, synthesize
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class KrausChannel:
             raise ValueError("a channel needs at least one Kraus operator")
         ops = []
         for idx, k in enumerate(self.kraus):
-            k = _as_complex_array(k, f"kraus[{idx}]")
+            k = as_complex_array(k, f"kraus[{idx}]")
             if k.shape != (self.output_dim, self.input_dim):
                 raise DimensionMismatchError(
                     f"kraus[{idx}] has shape {k.shape}, expected "
@@ -82,7 +82,7 @@ class StinespringIsometry:
     env_dim: int
 
     def __post_init__(self):
-        v = _as_complex_array(self.v, "isometry").copy()
+        v = as_complex_array(self.v, "isometry").copy()
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
@@ -122,8 +122,8 @@ def _checked_encoders(channel: KrausChannel, encoder_states) -> tuple[np.ndarray
         return e0, e1
     if len(encoder_states) != 2:
         raise ValueError("encoder_states must be a pair of vectors")
-    e0 = _as_complex_array(encoder_states[0], "encoder_states[0]").reshape(-1)
-    e1 = _as_complex_array(encoder_states[1], "encoder_states[1]").reshape(-1)
+    e0 = as_complex_array(encoder_states[0], "encoder_states[0]").reshape(-1)
+    e1 = as_complex_array(encoder_states[1], "encoder_states[1]").reshape(-1)
     if e0.size != d_a or e1.size != d_a:
         raise DimensionMismatchError(
             f"encoder states must live in dimension {d_a}, got sizes {e0.size}, {e1.size}"
@@ -159,8 +159,7 @@ def build_env_code(channel: KrausChannel, encoder_states=None) -> EnvCode:
     d_b, d_e = iso.output_dim, iso.env_dim
     psi = StateVector((d_e, d_b), word0.reshape(d_b, d_e).T.reshape(-1))
     phi = StateVector((d_e, d_b), word1.reshape(d_b, d_e).T.reshape(-1))
-    overlap = _check_pair(psi, phi, orthogonal=True)
-    protocol = _synthesize_checked(psi, phi, swapped=False, input_overlap=overlap)
+    protocol = synthesize(psi, phi, swap_roles=False)
     report = success_probability(psi, phi, protocol)
     error = max(0.0, 1.0 - report.success_prob)
     return EnvCode(encoder_states=(e0, e1), protocol=protocol, error_prob=error)

@@ -10,19 +10,12 @@ each layer only ever solves independent 2x2 subproblems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .linalg import (
-    TAU_ZERO,
-    DimensionMismatchError,
-    _TIE_REL,
-    _as_complex_array,
-    _eig2x2_scalars,
-)
+from .linalg import TAU_ZERO, TIE_REL, DimensionMismatchError, as_complex_array, eig2x2_batch
 
 
 @dataclass(frozen=True)
@@ -40,111 +33,17 @@ class FlatteningResult:
     residual: float
 
     def __post_init__(self):
-        u = _as_complex_array(self.unitary, "unitary").copy()
+        u = as_complex_array(self.unitary, "unitary").copy()
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
 
-def _uflat2_scalars(m00, m01, m10, m11):
-    """Columns (u, v) of the 2x2 flattening unitary, as scalar 4-tuples.
-
-    u is built so <u| (M - tr(M)/2 I) |u> = 0; v is the remaining basis
-    vector.  Both diagonal entries of U* M U then equal tr(M) / 2.
-    """
-    half_tr = 0.5 * (m00 + m11)
-    t00 = m00 - half_tr
-    t11 = m11 - half_tr
-    fro = math.sqrt(abs(t00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(t11) ** 2)
-    (l0, _l1), (w0, w1) = _eig2x2_scalars(t00, m01, m10, t11)
-    if abs(l0) <= TAU_ZERO * fro:
-        # Zero eigenvalue: the eigenvector itself already has a vanishing
-        # diagonal expectation, pair it with its orthogonal complement.
-        u0, u1 = w0
-        return u0, u1, -u1.conjugate(), u0.conjugate()
-    # Distinct eigenvalues +-l0: mix the eigenvectors with the phase that
-    # makes the cross terms cancel.  For a normal matrix the eigenvectors
-    # are orthogonal and any phase works; the inner product is then pure
-    # rounding noise, so read it as zero and use phase 1.
-    ip = w1[0].conjugate() * w0[0] + w1[1].conjugate() * w0[1]
-    aip = abs(ip)
-    e = ip.conjugate() / aip if aip > _TIE_REL else 1.0 + 0.0j
-    xp0 = e * w0[0] + w1[0]
-    xp1 = e * w0[1] + w1[1]
-    np_ = math.sqrt(abs(xp0) ** 2 + abs(xp1) ** 2)
-    u0 = xp0 / np_
-    u1 = xp1 / np_
-    xm0 = e * w0[0] - w1[0]
-    xm1 = e * w0[1] - w1[1]
-    nm = math.sqrt(abs(xm0) ** 2 + abs(xm1) ** 2)
-    if nm == 0.0:
-        return u0, u1, -u1.conjugate(), u0.conjugate()
-    v0 = xm0 / nm
-    v1 = xm1 / nm
-    # One re-orthogonalization pass keeps U unitary to working precision
-    # even when the eigenvectors are nearly parallel.
-    ov = u0.conjugate() * v0 + u1.conjugate() * v1
-    v0 -= ov * u0
-    v1 -= ov * u1
-    nv = math.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
-    if nv == 0.0:
-        return u0, u1, -u1.conjugate(), u0.conjugate()
-    return u0, u1, v0 / nv, v1 / nv
-
-
-def uflat2(m: np.ndarray) -> np.ndarray:
-    """Unitary U = [u v] equalizing the diagonal of a 2x2: diag(U* M U) = tr(M)/2."""
-    m = _as_complex_array(m, "matrix")
-    if m.shape != (2, 2):
-        raise DimensionMismatchError(f"uflat2 expects a 2x2 matrix, got {m.shape}")
-    u0, u1, v0, v1 = _uflat2_scalars(
-        complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1])
-    )
-    return np.array([[u0, v0], [u1, v1]], dtype=np.complex128)
-
-
-def _modulus_greater(x, y):
-    # Elementwise lexicographic (|.|, Re, Im) comparison with the same
-    # working-precision tie band as the scalar eigensolver.
-    ax = np.abs(x)
-    ay = np.abs(y)
-    tie = _TIE_REL * np.maximum(ax, ay)
-    by_mod = np.abs(ax - ay) > tie
-    by_re = np.abs(x.real - y.real) > tie
-    return np.where(
-        by_mod, ax > ay, np.where(by_re, x.real > y.real, (np.abs(x.imag - y.imag) > tie) & (x.imag > y.imag))
-    )
-
-
-def _eigvec_batch(a, b, c, d, lam, fro):
-    # Elementwise version of linalg._eigvec_scalars.
-    r00 = a - lam
-    r01 = b
-    r10 = c
-    r11 = d - lam
-    n0 = np.abs(r00) ** 2 + np.abs(r01) ** 2
-    n1 = np.abs(r10) ** 2 + np.abs(r11) ** 2
-    take0 = n0 >= n1
-    p = np.where(take0, r00, r10)
-    q = np.where(take0, r01, r11)
-    nrm2 = np.where(take0, n0, n1)
-    tiny = nrm2 <= (TAU_ZERO * fro) ** 2
-    v0 = -q
-    v1 = p
-    nrm = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
-    safe = np.where(tiny, 1.0, nrm)
-    v0 = np.where(tiny, 1.0 + 0.0j, v0 / safe)
-    v1 = np.where(tiny, 0.0 + 0.0j, v1 / safe)
-    lead = np.where(np.abs(v0) >= np.abs(v1), v0, v1)
-    alead = np.abs(lead)
-    ph = np.where(alead > 0.0, lead / np.where(alead > 0.0, alead, 1.0), 1.0 + 0.0j)
-    return v0 * ph.conjugate(), v1 * ph.conjugate()
-
-
 def _uflat2_batch(m00, m01, m10, m11):
-    """Vectorized :func:`_uflat2_scalars` over aligned 1-D entry arrays.
+    """Columns (u, v) of the 2x2 flattening unitaries over aligned 1-D entry arrays.
 
-    Builds every 2x2 rotation of a butterfly layer in one shot; lanes that
-    take a different branch are masked with where().  Returns the column
+    Builds every 2x2 rotation of a butterfly layer in one shot.  u is built
+    so <u| (M - tr(M)/2 I) |u> = 0; v is the remaining basis vector.  Both
+    diagonal entries of U* M U then equal tr(M) / 2.  Returns the column
     entries (u0, u1, v0, v1).
     """
     half_tr = 0.5 * (m00 + m11)
@@ -153,27 +52,19 @@ def _uflat2_batch(m00, m01, m10, m11):
     fro = np.sqrt(
         np.abs(t00) ** 2 + np.abs(m01) ** 2 + np.abs(m10) ** 2 + np.abs(t11) ** 2
     )
+    l0, _l1, w00, w01, w10, w11 = eig2x2_batch(t00, m01, m10, t11)
 
-    tr = t00 + t11  # zero by construction, kept for formula parity
-    det = t00 * t11 - m01 * m10
-    sq = np.sqrt(tr * tr - 4.0 * det)
-    sq = np.where((tr.real * sq.real + tr.imag * sq.imag) < 0.0, -sq, sq)
-    big = 0.5 * (tr + sq)
-    degen = big == 0.0
-    small = np.where(degen, 0.0 + 0.0j, det / np.where(degen, 1.0, big))
-    big = np.where(degen, 0.0 + 0.0j, big)
-    swap = _modulus_greater(small, big)
-    l0 = np.where(swap, big, small)
-    l1 = np.where(swap, small, big)
-
-    w00, w01 = _eigvec_batch(t00, m01, m10, t11, l0, fro)
-    w10, w11 = _eigvec_batch(t00, m01, m10, t11, l1, fro)
-
+    # Zero eigenvalue: the eigenvector itself already has a vanishing
+    # diagonal expectation, pair it with its orthogonal complement.
     zero = np.abs(l0) <= TAU_ZERO * fro
 
+    # Distinct eigenvalues +-l0: mix the eigenvectors with the phase that
+    # makes the cross terms cancel.  For a normal matrix the eigenvectors
+    # are orthogonal and any phase works; the inner product is then pure
+    # rounding noise, so read it as zero and use phase 1.
     ip = w10.conjugate() * w00 + w11.conjugate() * w01
     aip = np.abs(ip)
-    sig = aip > _TIE_REL
+    sig = aip > TIE_REL
     e = np.where(sig, ip.conjugate() / np.where(sig, aip, 1.0), 1.0 + 0.0j)
     xp0 = e * w00 + w10
     xp1 = e * w01 + w11
@@ -188,6 +79,8 @@ def _uflat2_batch(m00, m01, m10, m11):
     nm = np.where(collapsed, 1.0, nm)
     gv0 = xm0 / nm
     gv1 = xm1 / nm
+    # One re-orthogonalization pass keeps U unitary to working precision
+    # even when the eigenvectors are nearly parallel.
     ov = gu0.conjugate() * gv0 + gu1.conjugate() * gv1
     gv0 = gv0 - ov * gu0
     gv1 = gv1 - ov * gu1
@@ -204,6 +97,15 @@ def _uflat2_batch(m00, m01, m10, m11):
     return u0, u1, v0, v1
 
 
+def uflat2(m: np.ndarray) -> np.ndarray:
+    """Unitary U = [u v] equalizing the diagonal of a 2x2: diag(U* M U) = tr(M)/2."""
+    m = as_complex_array(m, "matrix")
+    if m.shape != (2, 2):
+        raise DimensionMismatchError(f"uflat2 expects a 2x2 matrix, got {m.shape}")
+    u0, u1, v0, v1 = _uflat2_batch(m[0, 0:1], m[0, 1:2], m[1, 0:1], m[1, 1:2])
+    return np.array([[u0[0], v0[0]], [u1[0], v1[0]]], dtype=np.complex128)
+
+
 def uflatgen(
     m: np.ndarray,
     d: int | None = None,
@@ -217,7 +119,7 @@ def uflatgen(
     diagonal entry of U M_pad U* equals tr(M) / d_pad.  ``on_layer`` is
     called with (p, current matrix) after each layer, for instrumentation.
     """
-    m = _as_complex_array(m, "matrix")
+    m = as_complex_array(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"uflatgen expects a square matrix, got {m.shape}")
     if d is None:
@@ -262,7 +164,7 @@ def verify_flat(m: np.ndarray, result: FlatteningResult) -> float:
     forms U M_pad U* with two dense products and returns the max deviation
     of its diagonal from tr(M) / d_pad.
     """
-    m = _as_complex_array(m, "matrix")
+    m = as_complex_array(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"verify_flat expects a square matrix, got {m.shape}")
     if m.shape[0] != result.original_dim:

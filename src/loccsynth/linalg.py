@@ -8,7 +8,6 @@ flat index of a bipartite amplitude is ``i * d_B + j`` for basis vector
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ class NonOrthogonalInputError(ValueError):
     """A state pair that must be orthogonal is not."""
 
 
-def _as_complex_array(values, name: str) -> np.ndarray:
+def as_complex_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     # isfinite on complex checks both components, and unlike a float64
     # reinterpret it tolerates non-contiguous views (e.g. unvec output).
@@ -61,7 +60,7 @@ class StateVector:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"factor dimensions must be positive, got {dims}")
-        amps = _as_complex_array(self.amplitudes, "amplitudes").reshape(-1).copy()
+        amps = as_complex_array(self.amplitudes, "amplitudes").reshape(-1).copy()
         if amps.size != math.prod(dims):
             raise DimensionMismatchError(
                 f"expected {math.prod(dims)} amplitudes for dims {dims}, got {amps.size}"
@@ -122,7 +121,7 @@ def vec(matrix: np.ndarray, dims: tuple[int, int] | None = None) -> StateVector:
 
     No norm check is applied; intermediate vectors may be unnormalized.
     """
-    m = _as_complex_array(matrix, "matrix")
+    m = as_complex_array(matrix, "matrix")
     if m.ndim != 2:
         raise DimensionMismatchError("vec expects a 2-D matrix")
     d_b, d_a = m.shape
@@ -131,77 +130,99 @@ def vec(matrix: np.ndarray, dims: tuple[int, int] | None = None) -> StateVector:
     return StateVector((d_a, d_b), m.T.reshape(-1))
 
 
+def pad_rows(amplitudes: np.ndarray, rows: int, d_pad: int) -> np.ndarray:
+    """Amplitudes as a (rows, cols) matrix, zero padded to (d_pad, cols).
+
+    Row i holds the coefficients that go with basis vector i of the first
+    factor; the padded rows belong to basis vectors the state never uses.
+    """
+    padded = np.zeros((d_pad, amplitudes.size // rows), dtype=np.complex128)
+    padded[:rows] = amplitudes.reshape(rows, -1)
+    return padded
+
+
 # ---- closed-form 2x2 eigensolver ----
 #
-# The only eigendecomposition the synthesis pipeline needs.  Works on plain
-# Python complex scalars so the flattening inner loop stays cheap.
+# The only eigendecomposition the synthesis pipeline needs.  Works lane by
+# lane on aligned entry arrays, so a butterfly layer of the flattening
+# solves all its 2x2 subproblems in one call; lanes that take a different
+# branch are masked with where().
 
 # Relative width of the "equal to working precision" band used when
 # ordering eigenvalues.  A traceless matrix has roots +-lam whose computed
 # moduli differ by rounding noise only; without the band the modulus
 # comparison would resolve that tie at random instead of falling through
 # to the real-part rule.
-_TIE_REL = 1e-12
+TIE_REL = 1e-12
 
 
-def _eig2x2_scalars(a: complex, b: complex, c: complex, d: complex):
-    """Eigenpairs of [[a, b], [c, d]] as plain scalars.
-
-    Returns ((l0, l1), (w0, w1)) with eigenvalues ordered by ascending
-    modulus (ties at working precision: ascending real part, then
-    ascending imaginary part) and unit eigenvectors as 2-tuples.  A
-    defective matrix yields the same eigenvector twice.
-    """
-    tr = a + d
-    det = a * d - b * c
-    sq = cmath.sqrt(tr * tr - 4.0 * det)
-    # Add the square root with the sign that avoids cancellation, then
-    # recover the other root from the determinant.
-    if (tr.real * sq.real + tr.imag * sq.imag) < 0.0:
-        sq = -sq
-    big = 0.5 * (tr + sq)
-    if big == 0.0:
-        l0 = l1 = 0.0 + 0.0j
-    else:
-        small = det / big
-        l0, l1 = small, big
-        tie = _TIE_REL * max(abs(l0), abs(l1))
-        if abs(abs(l0) - abs(l1)) > tie:
-            swap = abs(l0) > abs(l1)
-        elif abs(l0.real - l1.real) > tie:
-            swap = l0.real > l1.real
-        elif abs(l0.imag - l1.imag) > tie:
-            swap = l0.imag > l1.imag
-        else:
-            swap = False
-        if swap:
-            l0, l1 = l1, l0
-    fro = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
-    w0 = _eigvec_scalars(a, b, c, d, l0, fro)
-    w1 = _eigvec_scalars(a, b, c, d, l1, fro)
-    return (l0, l1), (w0, w1)
+def _modulus_greater(x, y):
+    # Elementwise lexicographic (|.|, Re, Im) comparison inside the
+    # working-precision tie band.
+    ax = np.abs(x)
+    ay = np.abs(y)
+    tie = TIE_REL * np.maximum(ax, ay)
+    by_mod = np.abs(ax - ay) > tie
+    by_re = np.abs(x.real - y.real) > tie
+    return np.where(
+        by_mod, ax > ay, np.where(by_re, x.real > y.real, (np.abs(x.imag - y.imag) > tie) & (x.imag > y.imag))
+    )
 
 
-def _eigvec_scalars(a, b, c, d, lam, fro):
+def _eigvec_batch(a, b, c, d, lam, fro):
     # The eigenvector annihilates both rows of (m - lam I) under the
     # unconjugated pairing; build it from whichever row is larger.
-    r0 = (a - lam, b)
-    r1 = (c, d - lam)
-    n0 = abs(r0[0]) ** 2 + abs(r0[1]) ** 2
-    n1 = abs(r1[0]) ** 2 + abs(r1[1]) ** 2
-    row, nrm2 = (r0, n0) if n0 >= n1 else (r1, n1)
-    if nrm2 <= (TAU_ZERO * fro) ** 2:
-        # m is lam I to working precision; every vector qualifies.
-        return (1.0 + 0.0j, 0.0 + 0.0j)
-    v0 = -row[1]
-    v1 = row[0]
-    nrm = math.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
-    v0 /= nrm
-    v1 /= nrm
+    r00 = a - lam
+    r01 = b
+    r10 = c
+    r11 = d - lam
+    n0 = np.abs(r00) ** 2 + np.abs(r01) ** 2
+    n1 = np.abs(r10) ** 2 + np.abs(r11) ** 2
+    take0 = n0 >= n1
+    p = np.where(take0, r00, r10)
+    q = np.where(take0, r01, r11)
+    nrm2 = np.where(take0, n0, n1)
+    # m is lam I to working precision; every vector qualifies.
+    tiny = nrm2 <= (TAU_ZERO * fro) ** 2
+    v0 = -q
+    v1 = p
+    nrm = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
+    safe = np.where(tiny, 1.0, nrm)
+    v0 = np.where(tiny, 1.0 + 0.0j, v0 / safe)
+    v1 = np.where(tiny, 0.0 + 0.0j, v1 / safe)
     # Canonical phase: largest component real positive.
-    lead = v0 if abs(v0) >= abs(v1) else v1
-    ph = lead / abs(lead)
-    return (v0 * ph.conjugate(), v1 * ph.conjugate())
+    lead = np.where(np.abs(v0) >= np.abs(v1), v0, v1)
+    alead = np.abs(lead)
+    ph = np.where(alead > 0.0, lead / np.where(alead > 0.0, alead, 1.0), 1.0 + 0.0j)
+    return v0 * ph.conjugate(), v1 * ph.conjugate()
+
+
+def eig2x2_batch(a, b, c, d):
+    """Eigenpairs of the matrices [[a, b], [c, d]] over aligned 1-D entry arrays.
+
+    Returns ``(l0, l1, w00, w01, w10, w11)``: per lane the eigenvalues
+    ordered by ascending modulus (ties at working precision: ascending real
+    part, then ascending imaginary part) and the unit eigenvectors
+    ``(w00, w01)`` for l0 and ``(w10, w11)`` for l1.  A defective matrix
+    yields the same eigenvector twice.
+    """
+    fro = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2)
+    tr = a + d
+    det = a * d - b * c
+    sq = np.sqrt(tr * tr - 4.0 * det)
+    # Add the square root with the sign that avoids cancellation, then
+    # recover the other root from the determinant.
+    sq = np.where((tr.real * sq.real + tr.imag * sq.imag) < 0.0, -sq, sq)
+    big = 0.5 * (tr + sq)
+    degen = big == 0.0
+    small = np.where(degen, 0.0 + 0.0j, det / np.where(degen, 1.0, big))
+    big = np.where(degen, 0.0 + 0.0j, big)
+    swap = _modulus_greater(small, big)
+    l0 = np.where(swap, big, small)
+    l1 = np.where(swap, small, big)
+    w00, w01 = _eigvec_batch(a, b, c, d, l0, fro)
+    w10, w11 = _eigvec_batch(a, b, c, d, l1, fro)
+    return l0, l1, w00, w01, w10, w11
 
 
 def eig2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,12 +232,10 @@ def eig2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalue first (ties broken by ascending real, then imaginary part)
     and ``eigvecs[:, k]`` is the unit eigenvector for ``eigvals[k]``.
     """
-    m = _as_complex_array(m, "matrix")
+    m = as_complex_array(m, "matrix")
     if m.shape != (2, 2):
         raise DimensionMismatchError(f"eig2x2 expects a 2x2 matrix, got {m.shape}")
-    (l0, l1), (w0, w1) = _eig2x2_scalars(
-        complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1])
-    )
-    vals = np.array([l0, l1], dtype=np.complex128)
-    vecs = np.array([[w0[0], w1[0]], [w0[1], w1[1]]], dtype=np.complex128)
+    l0, l1, w00, w01, w10, w11 = eig2x2_batch(m[0, 0:1], m[0, 1:2], m[1, 0:1], m[1, 1:2])
+    vals = np.concatenate([l0, l1])
+    vecs = np.array([[w00[0], w10[0]], [w01[0], w11[0]]], dtype=np.complex128)
     return vals, vecs

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TAU_NORM, TAU_ORTH, TAU_ZERO, DimensionMismatchError, StateVector
+from .linalg import TAU_NORM, TAU_ORTH, TAU_ZERO, DimensionMismatchError, StateVector, pad_rows
 from .synthesis import (
     BranchNode,
     GuessLeaf,
@@ -41,31 +41,31 @@ class VerificationReport:
     tolerances: dict
 
 
-def _oriented_padded(psi: StateVector, phi: StateVector, protocol: Protocol):
-    """Reorder and pad the raw inputs to match the protocol's role order."""
-    if psi.dims != phi.dims:
-        raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
-    if len(psi.dims) != 2:
+def _oriented_padded(state: StateVector, protocol: Protocol) -> np.ndarray:
+    """Reorder and pad a raw input to match the protocol's role order."""
+    if len(state.dims) != 2:
         raise DimensionMismatchError("expected bipartite states")
-    d_a, d_b = psi.dims
+    amps = state.amplitudes.reshape(state.dims)
     if protocol.swapped:
-        d_a, d_b = d_b, d_a
-        a_psi = psi.amplitudes.reshape(psi.dims).T
-        a_phi = phi.amplitudes.reshape(phi.dims).T
-    else:
-        a_psi = psi.amplitudes.reshape(psi.dims)
-        a_phi = phi.amplitudes.reshape(phi.dims)
+        amps = amps.T
+    d_a, d_b = amps.shape
     if d_a != protocol.original_dim_a or d_b != protocol.dim_b:
         raise DimensionMismatchError(
             f"states of dims ({d_a}, {d_b}) do not fit a protocol on "
             f"({protocol.original_dim_a}, {protocol.dim_b})"
         )
-    d_pad = protocol.padded_dim_a
-    m_psi = np.zeros((d_pad, d_b), dtype=np.complex128)
-    m_psi[:d_a] = a_psi
-    m_phi = np.zeros((d_pad, d_b), dtype=np.complex128)
-    m_phi[:d_a] = a_phi
-    return m_psi, m_phi
+    return pad_rows(amps, d_a, protocol.padded_dim_a)
+
+
+def _check_measurement(protocol: Protocol) -> None:
+    """Refuse measurement rows that are not orthonormal and decoders that are not unit vectors."""
+    u = protocol.alice_vectors
+    defect = float(np.max(np.abs(u @ u.conj().T - np.eye(protocol.padded_dim_a))))
+    if defect > TAU_NORM:
+        raise ValueError(f"measurement rows are not orthonormal: max|U U* - I| = {defect:.3e}")
+    for i, b in enumerate(protocol.bob_projectors):
+        if b is not None and abs(np.linalg.norm(b) - 1.0) > TAU_NORM:
+            raise ValueError(f"decoder {i} has norm {np.linalg.norm(b)!r}, not 1")
 
 
 def _outcome_table(m_psi: np.ndarray, m_phi: np.ndarray, protocol: Protocol):
@@ -101,17 +101,28 @@ def success_probability(
     """Exact success probability of a protocol on a state pair, equal prior.
 
     With a truncation ``plan``, outcomes outside the kept set count as
-    failures under both hypotheses.
+    failures under both hypotheses.  Raises ValueError when the measurement
+    rows are not orthonormal, a decoder is not a unit vector, or the plan
+    keeps a repeated or out-of-range outcome.
     """
     start = time.perf_counter()
     psi.require_normalized()
     phi.require_normalized()
-    m_psi, m_phi = _oriented_padded(psi, phi, protocol)
+    if psi.dims != phi.dims:
+        raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
+    m_psi = _oriented_padded(psi, protocol)
+    m_phi = _oriented_padded(phi, protocol)
+    _check_measurement(protocol)
     q_psi, q_phi, ok_psi, ok_phi, residual = _outcome_table(m_psi, m_phi, protocol)
 
     if plan is not None:
+        kept = list(plan.kept_outcomes)
+        if len(set(kept)) != len(kept) or any(not 0 <= i < protocol.padded_dim_a for i in kept):
+            raise ValueError(
+                f"kept outcomes {kept} must be distinct indices below {protocol.padded_dim_a}"
+            )
         keep = np.zeros(protocol.padded_dim_a, dtype=bool)
-        keep[list(plan.kept_outcomes)] = True
+        keep[kept] = True
         ok_psi = np.where(keep, ok_psi, 0.0)
         ok_phi = np.where(keep, ok_phi, 0.0)
 
@@ -153,8 +164,7 @@ def sample_run(
     if truth not in ("psi", "phi"):
         raise ValueError(f"truth must be 'psi' or 'phi', got {truth!r}")
     state.require_normalized()
-    # Orientation and padding only need the one state; reuse the pair path.
-    m_state, _ = _oriented_padded(state, state, protocol)
+    m_state = _oriented_padded(state, protocol)
     cond = protocol.alice_vectors.conj() @ m_state
     q = np.einsum("ij,ij->i", cond.conj(), cond).real
     guess_psi_prob = np.zeros(protocol.padded_dim_a)
@@ -199,23 +209,14 @@ def _tree_success(a_psi: np.ndarray, a_phi: np.ndarray, dims: tuple[int, ...], n
         mass_phi = float(np.vdot(a_phi, a_phi).real)
         return (mass_psi, 0.0) if node.guess == "psi" else (0.0, mass_phi)
     if isinstance(node, Protocol):
-        d_a, d_b = dims
-        m_psi = np.zeros((node.padded_dim_a, d_b), dtype=np.complex128)
-        m_psi[:d_a] = a_psi.reshape(d_a, d_b)
-        m_phi = np.zeros((node.padded_dim_a, d_b), dtype=np.complex128)
-        m_phi[:d_a] = a_phi.reshape(d_a, d_b)
+        m_psi = pad_rows(a_psi, dims[0], node.padded_dim_a)
+        m_phi = pad_rows(a_phi, dims[0], node.padded_dim_a)
         _, _, ok_psi, ok_phi, _ = _outcome_table(m_psi, m_phi, node)
         return float(ok_psi.sum()), float(ok_phi.sum())
     # Branch node: condition on each announced outcome and recurse.
-    d0 = dims[0]
     rest = dims[1:]
-    r = int(np.prod(rest))
-    m_psi = np.zeros((node.padded_dim, r), dtype=np.complex128)
-    m_psi[:d0] = a_psi.reshape(d0, r)
-    m_phi = np.zeros((node.padded_dim, r), dtype=np.complex128)
-    m_phi[:d0] = a_phi.reshape(d0, r)
-    cond_psi = node.alice_vectors.conj() @ m_psi
-    cond_phi = node.alice_vectors.conj() @ m_phi
+    cond_psi = node.alice_vectors.conj() @ pad_rows(a_psi, dims[0], node.padded_dim)
+    cond_phi = node.alice_vectors.conj() @ pad_rows(a_phi, dims[0], node.padded_dim)
     total_psi = 0.0
     total_phi = 0.0
     for i, child in enumerate(node.children):

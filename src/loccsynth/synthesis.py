@@ -26,6 +26,7 @@ from .linalg import (
     StateVector,
     adjoint,
     matmul,
+    pad_rows,
     unvec,
 )
 
@@ -144,15 +145,6 @@ def _swap_factors(state: StateVector) -> StateVector:
     return StateVector((d_b, d_a), state.amplitudes.reshape(d_a, d_b).T.reshape(-1))
 
 
-def _pad_first_factor(state: StateVector, d_pad: int) -> StateVector:
-    d_a, d_b = state.dims
-    if d_pad == d_a:
-        return state
-    amps = np.zeros(d_pad * d_b, dtype=np.complex128)
-    amps[: d_a * d_b] = state.amplitudes
-    return StateVector((d_pad, d_b), amps)
-
-
 def _conditional_rows(u: np.ndarray, amplitudes: np.ndarray, d_b: int) -> np.ndarray:
     """Per-outcome conditional states of the second party, one per row.
 
@@ -170,13 +162,13 @@ def _conditional_rows(u: np.ndarray, amplitudes: np.ndarray, d_b: int) -> np.nda
     return rows
 
 
-def _check_pair(psi: StateVector, phi: StateVector, orthogonal: bool) -> complex:
+def _check_pair(psi: StateVector, phi: StateVector) -> complex:
     if psi.dims != phi.dims:
         raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
     psi.require_normalized()
     phi.require_normalized()
     ov = phi.overlap(psi)
-    if orthogonal and abs(ov) > TAU_ORTH:
+    if abs(ov) > TAU_ORTH:
         raise NonOrthogonalInputError(
             f"|<phi|psi>| = {abs(ov):.3e} exceeds the orthogonality tolerance {TAU_ORTH}"
         )
@@ -190,7 +182,12 @@ def synthesize(psi: StateVector, phi: StateVector, swap_roles: bool = True) -> P
     ``Protocol.swapped`` when that means reordering the inputs); pass
     ``swap_roles=False`` to force the first factor to measure regardless.
     """
-    ov = _check_pair(psi, phi, orthogonal=True)
+    if len(psi.dims) != 2 or len(phi.dims) != 2:
+        raise DimensionMismatchError(
+            f"synthesize takes two-factor states, got dims {psi.dims} and {phi.dims}; "
+            "use synthesize_multipartite for three or more factors"
+        )
+    ov = _check_pair(psi, phi)
     d_a, d_b = psi.dims
     swapped = swap_roles and d_a > d_b
     if swapped:
@@ -199,27 +196,35 @@ def synthesize(psi: StateVector, phi: StateVector, swap_roles: bool = True) -> P
     return _synthesize_checked(psi, phi, swapped=swapped, input_overlap=ov)
 
 
+def _measurement_basis(psi: StateVector, phi: StateVector):
+    """First-party measurement basis that flattens the pair's overlap matrix.
+
+    Every factor after the first counts as the second party.  Returns
+    ``(u, residual, m_psi, m_phi)``: the basis vectors as rows of u over
+    the first factor zero padded to d_pad = 2**ceil(log2 d_A), the flatten
+    residual, and both states as (d_pad, rest) amplitude matrices.
+    """
+    d_a = psi.dims[0]
+    d_pad = 1 << (d_a - 1).bit_length()
+    m_psi = pad_rows(psi.amplitudes, d_a, d_pad)
+    m_phi = pad_rows(phi.amplitudes, d_a, d_pad)
+    if d_pad == 1:
+        # A single outcome: the measuring party is trivial and the second
+        # party discriminates the (orthogonal) states on its own.
+        return np.eye(1, dtype=np.complex128), 0.0, m_psi, m_phi
+    padded = (d_pad, m_psi.shape[1])
+    flat = uflatgen(overlap_matrix(StateVector(padded, m_psi), StateVector(padded, m_phi)))
+    return flat.unitary, flat.residual, m_psi, m_phi
+
+
 def _synthesize_checked(
     psi: StateVector, phi: StateVector, swapped: bool, input_overlap: complex
 ) -> Protocol:
     d_a, d_b = psi.dims
-    d_pad = 1 << (d_a - 1).bit_length() if d_a > 1 else 1
-    psi_p = _pad_first_factor(psi, d_pad)
-    phi_p = _pad_first_factor(phi, d_pad)
-
-    m = overlap_matrix(psi_p, phi_p)
-    if d_pad == 1:
-        # A single outcome: the measuring party is trivial and the second
-        # party discriminates the (orthogonal) states on its own.
-        u = np.eye(1, dtype=np.complex128)
-        flat_residual = 0.0
-    else:
-        flat = uflatgen(m)
-        u = flat.unitary
-        flat_residual = flat.residual
-
-    cond_psi = _conditional_rows(u, psi_p.amplitudes, d_b)
-    cond_phi = _conditional_rows(u, phi_p.amplitudes, d_b)
+    u, flat_residual, m_psi, m_phi = _measurement_basis(psi, phi)
+    d_pad = u.shape[0]
+    cond_psi = _conditional_rows(u, m_psi.reshape(-1), d_b)
+    cond_phi = _conditional_rows(u, m_phi.reshape(-1), d_b)
     probs_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
     probs_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
 
@@ -382,7 +387,7 @@ def synthesize_multipartite(psi: StateVector, phi: StateVector) -> MultipartiteP
         raise DimensionMismatchError(
             f"need at least 3 factors, got dims {psi.dims}; use synthesize for 2"
         )
-    _check_pair(psi, phi, orthogonal=True)
+    _check_pair(psi, phi)
     root = _synthesize_tree(psi, phi)
     return MultipartiteProtocol(dims=psi.dims, root=root)
 
@@ -395,18 +400,10 @@ def _synthesize_tree(psi: StateVector, phi: StateVector):
         return _synthesize_checked(psi, phi, swapped=False, input_overlap=phi.overlap(psi))
     d0 = dims[0]
     rest = dims[1:]
-    r = math.prod(rest)
-    flat_psi = StateVector((d0, r), psi.amplitudes)
-    flat_phi = StateVector((d0, r), phi.amplitudes)
-    head = _synthesize_checked(flat_psi, flat_phi, swapped=False, input_overlap=flat_phi.overlap(flat_psi))
-
-    d_pad = head.padded_dim_a
-    mat_psi = np.zeros((d_pad, r), dtype=np.complex128)
-    mat_psi[:d0] = psi.amplitudes.reshape(d0, r)
-    mat_phi = np.zeros((d_pad, r), dtype=np.complex128)
-    mat_phi[:d0] = phi.amplitudes.reshape(d0, r)
-    cond_psi = head.alice_vectors.conj() @ mat_psi
-    cond_phi = head.alice_vectors.conj() @ mat_phi
+    u, _, m_psi, m_phi = _measurement_basis(psi, phi)
+    d_pad = u.shape[0]
+    cond_psi = u.conj() @ m_psi
+    cond_phi = u.conj() @ m_phi
 
     children: list = []
     for i in range(d_pad):
@@ -426,7 +423,7 @@ def _synthesize_tree(psi: StateVector, phi: StateVector):
                 )
             )
     return BranchNode(
-        alice_vectors=head.alice_vectors,
+        alice_vectors=u,
         padded_dim=d_pad,
         original_dim=d0,
         children=tuple(children),

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import bell_pair, random_orthogonal_pair
-from loccsynth import KrausChannel, Protocol, StateVector, formats, synthesize
+from loccsynth import (
+    KrausChannel,
+    Protocol,
+    StateVector,
+    TruncatedMessagePlan,
+    formats,
+    synthesize,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -75,6 +82,17 @@ class TestSynthesize:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
 
+    def test_three_factor_states_exit_1(self, tmp_path):
+        rng = np.random.default_rng(702)
+        psi, phi = random_orthogonal_pair(rng, (2, 2, 2))
+        psi_path = str(tmp_path / "psi.json")
+        phi_path = str(tmp_path / "phi.json")
+        formats.save_state(psi_path, psi)
+        formats.save_state(phi_path, phi)
+        proc = run_cli("synthesize", psi_path, phi_path)
+        assert proc.returncode == 1
+        assert "synthesize_multipartite" in proc.stderr
+
     def test_missing_file_exit_1(self, tmp_path):
         proc = run_cli("synthesize", str(tmp_path / "nope.json"), str(tmp_path / "nope.json"))
         assert proc.returncode == 1
@@ -109,6 +127,36 @@ class TestVerify:
         assert proc.returncode == 3
         report = json.loads(proc.stdout)
         assert abs(report["success_prob"] - 0.5) <= 1e-9
+
+    def test_scaled_measurement_exit_1(self, bell_files, tmp_path):
+        # 3 I and 3 e0 would score 22.5 if the verifier took them as a measurement.
+        psi_path, phi_path = bell_files
+        e0 = np.array([3.0, 0.0], dtype=np.complex128)
+        fake = Protocol(
+            alice_vectors=3.0 * np.eye(2, dtype=np.complex128),
+            bob_projectors=(e0, e0),
+            outcome_probs_psi=np.array([0.5, 0.5]),
+            outcome_probs_phi=np.array([0.5, 0.5]),
+            padded_dim_a=2,
+            original_dim_a=2,
+            dim_b=2,
+        )
+        fake_path = str(tmp_path / "fake.json")
+        formats.save_protocol(fake_path, fake)
+        proc = run_cli("verify", psi_path, phi_path, fake_path)
+        assert proc.returncode == 1
+        assert "orthonormal" in proc.stderr
+
+    @pytest.mark.parametrize("kept", [(-1,), (5,), (0, 0)])
+    def test_bad_kept_outcomes_exit_1(self, bell_files, tmp_path, kept):
+        psi_path, phi_path = bell_files
+        psi, phi = bell_pair()
+        plan = TruncatedMessagePlan(kept, 0.5, 1, 0.5, 0.5)
+        out = str(tmp_path / "protocol.json")
+        formats.save_protocol(out, synthesize(psi, phi), plan)
+        proc = run_cli("verify", psi_path, phi_path, out)
+        assert proc.returncode == 1
+        assert "kept outcomes" in proc.stderr
 
     def test_dimension_mismatch_exit_1(self, bell_files, tmp_path):
         psi_path, phi_path = bell_files
@@ -224,7 +272,10 @@ class TestBench:
         assert proc.returncode == 1
         assert "doubling" in proc.stderr
 
-    def test_record_stream_shape(self, tmp_path):
+    def test_record_stream_shape(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = str(tmp_path / "bench.jsonl")
         proc = run_cli(
             "bench", "flatten", "--sizes", "4,8", "--repeats", "5", "--out", out
@@ -245,6 +296,11 @@ class TestBench:
         verdict = lines[-1]
         assert verdict["window"] == [6.0, 12.0]
         assert isinstance(verdict["ok"], bool)
+        assert verdict["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": None,
+        }
         saved = [json.loads(line) for line in open(out).read().splitlines()]
         assert saved == records
 

@@ -8,11 +8,11 @@ from loccsynth import (
     DimensionMismatchError,
     FlatteningResult,
     adjoint,
+    eig2x2,
     uflat2,
     uflatgen,
     verify_flat,
 )
-from loccsynth.flatten import _uflat2_batch
 
 S = 1 / np.sqrt(2)
 
@@ -68,9 +68,9 @@ class TestUflat2:
         with pytest.raises(DimensionMismatchError):
             uflat2(np.zeros((3, 3)))
 
-    def test_batch_matches_scalar(self):
-        # The vectorized kernel inside uflatgen must reproduce the scalar
-        # route branch for branch, including ties and degenerate inputs.
+    def test_stacked_lanes_match_numpy_oracle(self):
+        # Every matrix goes through one layer of uflatgen at once, so lanes
+        # that take different branches of the 2x2 kernel share one call.
         rng = np.random.default_rng(202)
         mats = []
         for trial in range(500):
@@ -87,16 +87,48 @@ class TestUflat2:
             mats.append(m)
         mats.append(np.zeros((2, 2), dtype=np.complex128))
         mats.append(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128))
-        stack = np.array(mats)
-        u0, u1, v0, v1 = _uflat2_batch(
-            stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
-        )
-        worst = 0.0
-        for idx, m in enumerate(mats):
-            ref = uflat2(m)
-            got = np.array([[u0[idx], v0[idx]], [u1[idx], v1[idx]]])
-            worst = max(worst, float(np.max(np.abs(got - ref))))
-        assert worst <= 1e-12
+        # Integer matrices, some with eigenvector components of equal modulus.
+        for entries in ([[-1, -2], [2, 1]], [[1, 2], [3, 4]], [[1, 1], [0, 1]], [[2, 0], [0, -3]],
+                        [[0, 5], [0, 0]], [[3, -1], [0, 0]], [[1, 1], [1, 1]], [[0, 0], [0, 0]]):
+            mats.append(np.array(entries, dtype=np.complex128))
+        # Lane z is the zero matrix, whose rotation is the identity.  Coupling
+        # every lane k to it by an identity block makes block (k, z) of the
+        # layer-0 output read U_k*, so each lane's unitary comes out of the
+        # same call.  The coupling blocks are not read by the 2x2 kernel.
+        z = len(mats)
+        n = 2 * (z + 1)
+        big = np.zeros((n, n), dtype=np.complex128)
+        for k, m in enumerate(mats):
+            big[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = m
+            big[2 * k : 2 * k + 2, 2 * z : 2 * z + 2] = np.eye(2)
+
+        # Later layers mix the lanes, so stop uflatgen once layer 0 is done.
+        class LayerZero(Exception):
+            pass
+
+        def grab(p, cur):
+            raise LayerZero(cur.copy())
+
+        with pytest.raises(LayerZero) as caught:
+            uflatgen(big, on_layer=grab)
+        cur = caught.value.args[0]
+
+        for k, m in enumerate(mats):
+            scale = 1e-10 * (1.0 + np.linalg.norm(m, "fro"))
+            vals, vecs = eig2x2(m)
+            want = np.linalg.eigvals(m)
+            assert min(
+                np.max(np.abs(vals - want)), np.max(np.abs(vals - want[::-1]))
+            ) <= scale, (k, m)
+            for j in range(2):
+                assert np.linalg.norm(m @ vecs[:, j] - vals[j] * vecs[:, j]) <= scale, (k, m)
+                assert abs(np.linalg.norm(vecs[:, j]) - 1.0) <= 1e-12, (k, m)
+            u = cur[2 * k : 2 * k + 2, 2 * z : 2 * z + 2].conj().T
+            assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-12, (k, m)
+            flat = u.conj().T @ m @ u
+            assert np.max(np.abs(np.diagonal(flat) - np.trace(m) / 2)) <= scale, (k, m)
+            block = cur[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
+            assert np.max(np.abs(block - flat)) <= scale, (k, m)
 
 
 class TestUflatgen:

@@ -16,13 +16,13 @@ from loccsynth import (
 )
 
 
-def coin_flip_protocol():
+def coin_flip_protocol(scale_u=1.0, scale_b=1.0):
     """Deliberately useless fixture: measure in the computational basis and
     always project onto |0> on the decoding side.  Against a Bell pair this
-    is a fair coin."""
-    e0 = np.array([1.0, 0.0], dtype=np.complex128)
+    is a fair coin.  A scale other than 1 makes it no measurement at all."""
+    e0 = np.array([scale_b, 0.0], dtype=np.complex128)
     return Protocol(
-        alice_vectors=np.eye(2, dtype=np.complex128),
+        alice_vectors=scale_u * np.eye(2, dtype=np.complex128),
         bob_projectors=(e0, e0),
         outcome_probs_psi=np.array([0.5, 0.5]),
         outcome_probs_phi=np.array([0.5, 0.5]),
@@ -78,6 +78,15 @@ class TestSuccessProbability:
             assert conditional == pytest.approx(0.5, abs=1e-12)
         # And the conditional decoder states are far from orthogonal.
         assert report.max_orthogonality_residual == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "scale_u, scale_b, message", [(3.0, 3.0, "orthonormal"), (1.0, 3.0, "decoder 0")]
+    )
+    def test_rejects_protocol_that_is_not_a_measurement(self, scale_u, scale_b, message):
+        # Scored as if valid, 3 I with decoders 3 e0 reaches 22.5 on the Bell pair.
+        psi, phi = bell_pair()
+        with pytest.raises(ValueError, match=message):
+            success_probability(psi, phi, coin_flip_protocol(scale_u, scale_b))
 
     def test_score_ignores_stored_diagnostics(self):
         # The evaluator must recompute everything from the measurement data;
