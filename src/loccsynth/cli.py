@@ -25,14 +25,16 @@ from .synthesis import epsilon_truncate, overlap_matrix, synthesize
 
 SUCCESS_TOLERANCE = 1e-9
 DEFAULT_SEED = 1234
+# Sizes where the stated cost dominates the fixed per-call and per-layer
+# cost: flatten O(d^2 log d), synthesize O(d_A^2 d_B + d^2 log d).
 DEFAULT_SIZES = {
-    "flatten": (64, 128, 256),
-    "synthesize": (16, 32, 64),
+    "flatten": (128, 256, 512),
+    "synthesize": (128, 256, 512),
     "overlap": (16384, 32768, 65536),
 }
 RATIO_WINDOWS = {
-    "flatten": (6.0, 12.0),
-    "synthesize": (10.0, 22.0),
+    "flatten": (3.0, 6.0),
+    "synthesize": (3.0, 8.0),
     "overlap": (1.6, 2.6),
 }
 
@@ -85,12 +87,40 @@ def cmd_verify(args) -> int:
         "max_orthogonality_residual": report.max_orthogonality_residual,
         "elapsed_s": report.elapsed_s,
         "tolerances": report.tolerances,
+        "kept_mass": list(report.kept_mass),
     }
     print(json.dumps(doc, indent=1))
-    threshold = 1.0 - SUCCESS_TOLERANCE
-    if plan is not None:
-        threshold -= plan.epsilon
-    return 0 if report.success_prob >= threshold else 3
+    problem = _verification_problem(report, plan)
+    return 0 if problem is None else _fail(problem, 3)
+
+
+def _verification_problem(report, plan) -> str | None:
+    """Why a report misses the success bar, or None when it meets it.
+
+    Without a plan the protocol must succeed with probability 1 - 1e-9.  A
+    plan's epsilon is a claim, not a discount: every kept outcome that
+    occurs must succeed with conditional probability 1 - 1e-9, and the kept
+    outcomes, weighed from the states, must carry mass 1 - epsilon under
+    both hypotheses.
+    """
+    if plan is None:
+        if not report.success_prob >= 1.0 - SUCCESS_TOLERANCE:
+            return f"success {report.success_prob:.12f} is below 1 - {SUCCESS_TOLERANCE}"
+        return None
+    for i in plan.kept_outcomes:
+        weight, conditional = report.per_outcome_success[i]
+        # Outcomes below TAU_ZERO**2 are rounding noise; together they weigh
+        # too little to move the success probability.
+        if weight > TAU_ZERO**2 and not conditional >= 1.0 - SUCCESS_TOLERANCE:
+            return f"kept outcome {i} succeeds with probability {conditional:.12f}"
+    goal = 1.0 - plan.epsilon - SUCCESS_TOLERANCE
+    mass_psi, mass_phi = report.kept_mass
+    if not (mass_psi >= goal and mass_phi >= goal):
+        return (
+            f"kept outcomes carry mass {mass_psi:.12f} under psi and {mass_phi:.12f} "
+            f"under phi, below 1 - epsilon = {1.0 - plan.epsilon}"
+        )
+    return None
 
 
 def cmd_flatten(args) -> int:

@@ -106,6 +106,15 @@ def uflat2(m: np.ndarray) -> np.ndarray:
     return np.array([[u0[0], v0[0]], [u1[0], v1[0]]], dtype=np.complex128)
 
 
+def _mix_pairs(a: np.ndarray, b: np.ndarray, c00, c01, c10, c11) -> None:
+    """Overwrite the paired slices (a, b) with (c00 a + c01 b, c10 a + c11 b)."""
+    new_b = c10 * a
+    new_b += c11 * b
+    a *= c00
+    a += c01 * b
+    b[...] = new_b
+
+
 def uflatgen(
     m: np.ndarray,
     d: int | None = None,
@@ -116,8 +125,12 @@ def uflatgen(
     M is zero padded to d_pad = 2**ceil(log2 d).  Layer p pairs diagonal
     positions i and i + 2**p within aligned blocks of width 2**(p + 1) and
     equalizes each pair with :func:`uflat2`; after the last layer every
-    diagonal entry of U M_pad U* equals tr(M) / d_pad.  ``on_layer`` is
-    called with (p, current matrix) after each layer, for instrumentation.
+    diagonal entry of U M_pad U* equals tr(M) / d_pad.  Each layer is a
+    direct sum of 2x2 rotations on disjoint index pairs, so it is applied
+    to the paired rows and columns in place, O(d_pad^2) per layer.
+    ``on_layer`` is called with (p, current matrix) after each layer, for
+    instrumentation; the matrix is the live working array, which later
+    layers overwrite, so a callback that keeps it must copy it.
     """
     m = as_complex_array(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -135,26 +148,38 @@ def uflatgen(
     cur[:d, :d] = m
     target = np.trace(m) / n
 
-    u_tot = np.eye(n, dtype=np.complex128)
+    # Before layer p the accumulated unitary is block diagonal with blocks
+    # of width 2**p, so only those blocks are stored: (n >> p, 2**p, 2**p).
+    blocks = np.ones((n, 1, 1), dtype=np.complex128)
     for p in range(k):
         step = 1 << p
-        base = np.arange(n >> (p + 1)) << (p + 1)
+        pairs = n >> (p + 1)
+        base = np.arange(pairs) << (p + 1)
         ii = (base[:, None] + np.arange(step)[None, :]).reshape(-1)
         jj = ii + step
         u0, u1, v0, v1 = _uflat2_batch(cur[ii, ii], cur[ii, jj], cur[jj, ii], cur[jj, jj])
-        layer = np.eye(n, dtype=np.complex128)
-        layer[ii, ii] = u0
-        layer[jj, ii] = u1
-        layer[ii, jj] = v0
-        layer[jj, jj] = v1
-        layer_h = layer.conj().T
-        cur = layer_h @ cur @ layer
-        u_tot = layer_h @ u_tot
+        # cur <- L* cur L, where L has columns u0 e_i + u1 e_j and v0 e_i + v1 e_j
+        # on each pair (i, j): mix the paired columns, then the paired rows.
+        cols = cur.reshape(n, pairs, 2, step)
+        c = [x.reshape(pairs, step) for x in (u0, u1, v0, v1)]
+        _mix_pairs(cols[:, :, 0], cols[:, :, 1], *c)
+        rows = cur.reshape(pairs, 2, step, n)
+        r = [x.conj().reshape(pairs, step, 1) for x in (u0, u1, v0, v1)]
+        _mix_pairs(rows[:, 0], rows[:, 1], *r)
+        # U <- L* U: row i of the merged block is conj(u0) row i of the left
+        # block beside conj(u1) row j of the right one, row j likewise with v.
+        halves = blocks.reshape(pairs, 2, step, step)
+        merged = np.empty((pairs, 2 * step, 2 * step), dtype=np.complex128)
+        merged[:, :step, :step] = r[0] * halves[:, 0]
+        merged[:, :step, step:] = r[1] * halves[:, 1]
+        merged[:, step:, :step] = r[2] * halves[:, 0]
+        merged[:, step:, step:] = r[3] * halves[:, 1]
+        blocks = merged
         if on_layer is not None:
             on_layer(p, cur)
 
     residual = float(np.max(np.abs(np.diagonal(cur) - target)))
-    return FlatteningResult(unitary=u_tot, padded_dim=n, original_dim=d, residual=residual)
+    return FlatteningResult(unitary=blocks[0], padded_dim=n, original_dim=d, residual=residual)
 
 
 def verify_flat(m: np.ndarray, result: FlatteningResult) -> float:

@@ -7,6 +7,7 @@ are stored row-major.  Every file carries a ``schema_version`` field.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -20,19 +21,34 @@ SCHEMA_VERSION = 1
 
 
 def _pairs(values: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(values, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    z = np.asarray(values, dtype=np.complex128).reshape(-1)
+    return np.column_stack((z.real, z.imag)).tolist()
 
 
 def _unpairs(raw: Any, name: str) -> np.ndarray:
     if not isinstance(raw, list):
         raise ValueError(f"{name} must be a list of [re, im] pairs")
-    out = np.empty(len(raw), dtype=np.complex128)
+    if not raw:
+        return np.empty(0, dtype=np.complex128)
+    try:
+        pairs = np.array(raw)
+    except ValueError:  # ragged nesting
+        raise ValueError(_first_bad_pair(raw, name)) from None
+    numeric = pairs.shape == (len(raw), 2) and pairs.dtype.kind in "iuf"
+    if not numeric or not np.isfinite(pairs).all():
+        raise ValueError(_first_bad_pair(raw, name))
+    return pairs.astype(np.float64).view(np.complex128).reshape(-1)
+
+
+def _first_bad_pair(raw: list, name: str) -> str:
+    """Message naming the first entry of ``raw`` that is not a finite [re, im] pair."""
     for idx, item in enumerate(raw):
         if not isinstance(item, list) or len(item) != 2:
-            raise ValueError(f"{name}[{idx}] is not a [re, im] pair")
-        out[idx] = complex(float(item[0]), float(item[1]))
-    return out
+            return f"{name}[{idx}] is not a [re, im] pair"
+        for x in item:
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+                return f"{name}[{idx}] holds {x!r}, not a finite number"
+    return f"{name} is not a list of finite [re, im] pairs"
 
 
 def _read(path: str) -> dict:
@@ -48,7 +64,7 @@ def _read(path: str) -> dict:
 
 def _write(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 
@@ -135,8 +151,8 @@ def _protocol_doc(protocol: Protocol, plan: TruncatedMessagePlan | None) -> dict
         "swapped": protocol.swapped,
         "alice_vectors": _pairs(protocol.alice_vectors),
         "bob_projectors": [None if b is None else _pairs(b) for b in protocol.bob_projectors],
-        "outcome_probs_psi": [float(p) for p in protocol.outcome_probs_psi],
-        "outcome_probs_phi": [float(p) for p in protocol.outcome_probs_phi],
+        "outcome_probs_psi": protocol.outcome_probs_psi.tolist(),
+        "outcome_probs_phi": protocol.outcome_probs_phi.tolist(),
         "input_overlap": [protocol.input_overlap.real, protocol.input_overlap.imag],
         "flatten_residual": protocol.flatten_residual,
     }
@@ -191,9 +207,12 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
     plan = None
     raw_plan = doc.get("truncation")
     if raw_plan is not None:
+        epsilon = float(raw_plan["epsilon"])
+        if not 0.0 < epsilon <= 1.0:
+            raise ValueError(f"truncation epsilon must lie in (0, 1], got {epsilon}")
         plan = TruncatedMessagePlan(
             kept_outcomes=tuple(int(i) for i in raw_plan["kept_outcomes"]),
-            epsilon=float(raw_plan["epsilon"]),
+            epsilon=epsilon,
             bits=int(raw_plan["bits"]),
             retained_prob_psi=float(raw_plan["retained_prob_psi"]),
             retained_prob_phi=float(raw_plan["retained_prob_phi"]),

@@ -32,6 +32,8 @@ class VerificationReport:
     the two hypotheses) with the conditional success given that outcome.
     ``max_orthogonality_residual`` is the largest normalized overlap between
     the two conditional decoder states across outcomes where both occur.
+    ``kept_mass`` is the probability, under psi and under phi, that the
+    outcome is one the plan keeps (every outcome without a plan).
     """
 
     success_prob: float
@@ -39,6 +41,7 @@ class VerificationReport:
     max_orthogonality_residual: float
     elapsed_s: float
     tolerances: dict
+    kept_mass: tuple[float, float]
 
 
 def _oriented_padded(state: StateVector, protocol: Protocol) -> np.ndarray:
@@ -60,11 +63,12 @@ def _oriented_padded(state: StateVector, protocol: Protocol) -> np.ndarray:
 def _check_measurement(protocol: Protocol) -> None:
     """Refuse measurement rows that are not orthonormal and decoders that are not unit vectors."""
     u = protocol.alice_vectors
+    # Written as "not within tolerance" so that NaN entries fail the checks.
     defect = float(np.max(np.abs(u @ u.conj().T - np.eye(protocol.padded_dim_a))))
-    if defect > TAU_NORM:
+    if not defect <= TAU_NORM:
         raise ValueError(f"measurement rows are not orthonormal: max|U U* - I| = {defect:.3e}")
     for i, b in enumerate(protocol.bob_projectors):
-        if b is not None and abs(np.linalg.norm(b) - 1.0) > TAU_NORM:
+        if b is not None and not abs(np.linalg.norm(b) - 1.0) <= TAU_NORM:
             raise ValueError(f"decoder {i} has norm {np.linalg.norm(b)!r}, not 1")
 
 
@@ -115,7 +119,9 @@ def success_probability(
     _check_measurement(protocol)
     q_psi, q_phi, ok_psi, ok_phi, residual = _outcome_table(m_psi, m_phi, protocol)
 
-    if plan is not None:
+    if plan is None:
+        keep = np.ones(protocol.padded_dim_a, dtype=bool)
+    else:
         kept = list(plan.kept_outcomes)
         if len(set(kept)) != len(kept) or any(not 0 <= i < protocol.padded_dim_a for i in kept):
             raise ValueError(
@@ -142,6 +148,7 @@ def success_probability(
         max_orthogonality_residual=float(residual),
         elapsed_s=time.perf_counter() - start,
         tolerances={"tau_zero": TAU_ZERO, "tau_norm": TAU_NORM, "tau_orth": TAU_ORTH},
+        kept_mass=(float(q_psi[keep].sum()), float(q_phi[keep].sum())),
     )
 
 
@@ -157,7 +164,8 @@ def sample_run(
     ``truth`` names which of the two hypotheses ``state`` actually is, so
     the sampled guesses can be scored.  Outcomes are drawn by inverse CDF
     over the exact outcome probabilities; runs are reproducible from the
-    seed alone.
+    seed alone.  Raises ValueError when the measurement rows are not
+    orthonormal or a decoder is not a unit vector.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -165,6 +173,7 @@ def sample_run(
         raise ValueError(f"truth must be 'psi' or 'phi', got {truth!r}")
     state.require_normalized()
     m_state = _oriented_padded(state, protocol)
+    _check_measurement(protocol)
     cond = protocol.alice_vectors.conj() @ m_state
     q = np.einsum("ij,ij->i", cond.conj(), cond).real
     guess_psi_prob = np.zeros(protocol.padded_dim_a)

@@ -145,23 +145,6 @@ def _swap_factors(state: StateVector) -> StateVector:
     return StateVector((d_b, d_a), state.amplitudes.reshape(d_a, d_b).T.reshape(-1))
 
 
-def _conditional_rows(u: np.ndarray, amplitudes: np.ndarray, d_b: int) -> np.ndarray:
-    """Per-outcome conditional states of the second party, one per row.
-
-    Row i is (<i| u_bar tensor 1_B) applied to the state: the selector
-    matrix for each outcome is materialized explicitly and applied by a
-    dense product, so the whole loop costs O(d_A^2 d_B^2).
-    """
-    d_pad = u.shape[0]
-    ubar = u.conj()
-    eye_b = np.eye(d_b, dtype=np.complex128)
-    rows = np.empty((d_pad, d_b), dtype=np.complex128)
-    for i in range(d_pad):
-        selector = np.kron(ubar[i : i + 1, :], eye_b)
-        rows[i] = selector @ amplitudes
-    return rows
-
-
 def _check_pair(psi: StateVector, phi: StateVector) -> complex:
     if psi.dims != phi.dims:
         raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
@@ -223,8 +206,10 @@ def _synthesize_checked(
     d_a, d_b = psi.dims
     u, flat_residual, m_psi, m_phi = _measurement_basis(psi, phi)
     d_pad = u.shape[0]
-    cond_psi = _conditional_rows(u, m_psi.reshape(-1), d_b)
-    cond_phi = _conditional_rows(u, m_phi.reshape(-1), d_b)
+    # Row i is the second party's conditional state after outcome i,
+    # (<i| u_bar tensor 1_B) |state>, as one (d_pad, d_pad) x (d_pad, d_B) product.
+    cond_psi = u.conj() @ m_psi
+    cond_phi = u.conj() @ m_phi
     probs_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
     probs_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
 

@@ -158,6 +158,62 @@ class TestVerify:
         assert proc.returncode == 1
         assert "kept outcomes" in proc.stderr
 
+    def test_coin_flip_with_declared_budget_exit_3(self, bell_files, tmp_path):
+        # A plan keeping both outcomes at epsilon 0.5 must not excuse a coin flip:
+        # the budget covers dropped outcomes, not wrong answers on kept ones.
+        psi_path, phi_path = bell_files
+        e0 = np.array([1.0, 0.0], dtype=np.complex128)
+        coin = Protocol(
+            alice_vectors=np.eye(2, dtype=np.complex128),
+            bob_projectors=(e0, e0),
+            outcome_probs_psi=np.array([0.5, 0.5]),
+            outcome_probs_phi=np.array([0.5, 0.5]),
+            padded_dim_a=2,
+            original_dim_a=2,
+            dim_b=2,
+        )
+        coin_path = str(tmp_path / "coin.json")
+        formats.save_protocol(coin_path, coin, TruncatedMessagePlan((0, 1), 0.5, 2, 1.0, 1.0))
+        proc = run_cli("verify", psi_path, phi_path, coin_path)
+        assert proc.returncode == 3
+        assert "kept outcome 0" in proc.stderr
+
+    def test_kept_mass_below_declared_budget_exit_3(self, bell_files, tmp_path):
+        # One Bell outcome carries mass 1/2, so epsilon 0.1 is a false claim
+        # even though the declared retained masses say otherwise.
+        psi_path, phi_path = bell_files
+        psi, phi = bell_pair()
+        out = str(tmp_path / "protocol.json")
+        plan = TruncatedMessagePlan((0,), 0.1, 1, 1.0, 1.0)
+        formats.save_protocol(out, synthesize(psi, phi), plan)
+        proc = run_cli("verify", psi_path, phi_path, out)
+        assert proc.returncode == 3
+        assert "kept outcomes carry mass" in proc.stderr
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.5])
+    def test_epsilon_out_of_range_exit_1(self, bell_files, tmp_path, epsilon):
+        # Plans exist for epsilon in (0, 1]; above 1 the budget would excuse every outcome.
+        psi_path, phi_path = bell_files
+        psi, phi = bell_pair()
+        out = str(tmp_path / "protocol.json")
+        formats.save_protocol(out, synthesize(psi, phi), TruncatedMessagePlan((), epsilon, 1, 0, 0))
+        proc = run_cli("verify", psi_path, phi_path, out)
+        assert proc.returncode == 1
+        assert "epsilon" in proc.stderr
+
+    @pytest.mark.parametrize("entry", ["null", "NaN", "Infinity", "[0.0]"])
+    def test_corrupt_number_exit_1(self, bell_files, tmp_path, entry):
+        psi_path, phi_path = bell_files
+        psi, phi = bell_pair()
+        out = tmp_path / "protocol.json"
+        formats.save_protocol(str(out), synthesize(psi, phi))
+        doc = json.loads(out.read_text())
+        doc["alice_vectors"][1][0] = "CORRUPT"
+        out.write_text(json.dumps(doc).replace('"CORRUPT"', entry))
+        proc = run_cli("verify", psi_path, phi_path, str(out))
+        assert proc.returncode == 1
+        assert "alice_vectors[1]" in proc.stderr
+
     def test_dimension_mismatch_exit_1(self, bell_files, tmp_path):
         psi_path, phi_path = bell_files
         out = str(tmp_path / "protocol.json")
@@ -294,7 +350,7 @@ class TestBench:
         for r in ratios:
             assert r["ratio"] == round(min_ns[r["ratio_to"]] / min_ns[r["ratio_from"]], 3)
         verdict = lines[-1]
-        assert verdict["window"] == [6.0, 12.0]
+        assert verdict["window"] == [3.0, 6.0]
         assert isinstance(verdict["ok"], bool)
         assert verdict["blas_threads"] == {
             "OPENBLAS_NUM_THREADS": "1",

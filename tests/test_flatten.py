@@ -208,6 +208,31 @@ class TestUflatgen:
                     spread = np.max(np.abs(block - block[0]))
                     assert spread <= TAU_ZERO * (1 + fro)
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 33, 64])
+    def test_layers_match_dense_reference(self, d):
+        # Reference: layer p is the dense unitary L holding uflat2 of each
+        # pair (i, i + 2**p) of the previous matrix; the layer yields L* M L
+        # and the unitary accumulates L*.
+        rng = np.random.default_rng([208, d])
+        m = random_square(rng, d)
+        layers = []
+        result = uflatgen(m, on_layer=lambda p, cur: layers.append(cur.copy()))
+        n = result.padded_dim
+        prev = np.zeros((n, n), dtype=np.complex128)
+        prev[:d, :d] = m
+        u_ref = np.eye(n, dtype=np.complex128)
+        for p, got in enumerate(layers):
+            step = 1 << p
+            layer = np.eye(n, dtype=np.complex128)
+            for i in range(n):
+                if not i & step:
+                    pair = np.ix_([i, i + step], [i, i + step])
+                    layer[pair] = uflat2(prev[pair])
+            assert np.max(np.abs(got - layer.conj().T @ prev @ layer)) <= 1e-12
+            u_ref = layer.conj().T @ u_ref
+            prev = got
+        assert np.max(np.abs(result.unitary - u_ref)) <= 1e-12
+
     def test_verify_flat_catches_wrong_unitary(self):
         m = np.diag([1.0, -1.0]).astype(np.complex128)
         fake = FlatteningResult(unitary=np.eye(2), padded_dim=2, original_dim=2, residual=0.0)

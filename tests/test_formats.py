@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import bell_pair, random_orthogonal_pair
+from conftest import bell_pair, random_kraus_ops, random_orthogonal_pair
 from loccsynth import (
     KrausChannel,
     NotNormalizedError,
@@ -181,6 +181,60 @@ class TestProtocolFiles:
         write_json(p, doc)
         with pytest.raises(ValueError):
             formats.load_protocol(str(p))
+
+
+def same_bits(got, want):
+    got = np.asarray(got)
+    want = np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestBitExactRoundTrips:
+    """Save then load returns every float bit for bit, signed zeros and
+    subnormals included, from a document written on one line."""
+
+    def test_state(self, tmp_path):
+        rng = np.random.default_rng(605)
+        amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        amps[[3, 7]] = 0.0
+        amps /= np.linalg.norm(amps)
+        amps[3] = complex(-0.0, 5e-324)
+        amps[7] = complex(0.0, -0.0)
+        state = StateVector((3, 4), amps)
+        p = tmp_path / "state.json"
+        formats.save_state(str(p), state)
+        assert p.read_text().count("\n") == 1
+        assert same_bits(formats.load_state(str(p)).amplitudes, state.amplitudes)
+
+    def test_protocol(self, tmp_path):
+        rng = np.random.default_rng(606)
+        psi, phi = random_orthogonal_pair(rng, (3, 5))
+        protocol = synthesize(psi, phi)
+        plan = epsilon_truncate(protocol, 0.2)
+        p = tmp_path / "p.json"
+        formats.save_protocol(str(p), protocol, plan)
+        assert p.read_text().count("\n") == 1
+        loaded, loaded_plan = formats.load_protocol(str(p))
+        assert loaded_plan == plan
+        assert same_bits(loaded.alice_vectors, protocol.alice_vectors)
+        for got, want in zip(loaded.bob_projectors, protocol.bob_projectors, strict=True):
+            assert same_bits(got, want)
+        assert same_bits(loaded.outcome_probs_psi, protocol.outcome_probs_psi)
+        assert same_bits(loaded.outcome_probs_phi, protocol.outcome_probs_phi)
+        assert same_bits(loaded.input_overlap, protocol.input_overlap)
+        assert loaded.flatten_residual == protocol.flatten_residual
+
+    def test_channel(self, tmp_path):
+        rng = np.random.default_rng(607)
+        ops = random_kraus_ops(rng, 3, 4, 2)
+        signed = (np.diag([1.0, -0.0]), np.diag([-0.0, 1.0]))
+        for channel in (KrausChannel(3, 4, tuple(ops)), KrausChannel(2, 2, signed)):
+            p = tmp_path / "c.json"
+            formats.save_channel(str(p), channel)
+            assert p.read_text().count("\n") == 1
+            loaded = formats.load_channel(str(p))
+            for got, want in zip(loaded.kraus, channel.kraus, strict=True):
+                assert same_bits(got, want)
 
 
 class TestResultFiles:

@@ -80,7 +80,13 @@ class TestSuccessProbability:
         assert report.max_orthogonality_residual == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "scale_u, scale_b, message", [(3.0, 3.0, "orthonormal"), (1.0, 3.0, "decoder 0")]
+        "scale_u, scale_b, message",
+        [
+            (3.0, 3.0, "orthonormal"),
+            (1.0, 3.0, "decoder 0"),
+            (np.nan, 1.0, "orthonormal"),
+            (1.0, np.nan, "decoder 0"),
+        ],
     )
     def test_rejects_protocol_that_is_not_a_measurement(self, scale_u, scale_b, message):
         # Scored as if valid, 3 I with decoders 3 e0 reaches 22.5 on the Bell pair.
@@ -181,6 +187,16 @@ class TestSampleRun:
         a = sample_run(psi, protocol, seed=99, shots=1000)
         b = sample_run(psi, protocol, seed=99, shots=1000)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "scale_u, scale_b, message",
+        [(3.0, 3.0, "orthonormal"), (1.0, 3.0, "decoder 0"), (np.nan, 1.0, "orthonormal")],
+    )
+    def test_rejects_protocol_that_is_not_a_measurement(self, scale_u, scale_b, message):
+        # Unchecked, 3 I with decoders 3 e0 samples a plausible 0.507 on the Bell pair.
+        psi, _ = bell_pair()
+        with pytest.raises(ValueError, match=message):
+            sample_run(psi, coin_flip_protocol(scale_u, scale_b), seed=1, shots=1000)
 
     def test_rejects_bad_arguments(self):
         psi, phi = bell_pair()

@@ -202,6 +202,33 @@ class TestSynthesize:
                 if n_psi > TAU_ZERO and n_phi > TAU_ZERO:
                     assert abs(np.vdot(cond_phi, cond_psi)) / (n_psi * n_phi) <= 1e-9
 
+    @pytest.mark.parametrize("dims", [(4, 4), (3, 5), (5, 3), (6, 2)])
+    def test_outcomes_match_kronecker_selectors(self, dims):
+        # Definition: outcome i leaves the second party in (<i| u_bar tensor 1_B)
+        # applied to the padded state, with the selector built explicitly.
+        # (4, 4) is square, (3, 5) pads 3 to 4, (5, 3) swaps and pads, (6, 2) swaps.
+        rng = np.random.default_rng([312, *dims])
+        psi, phi = random_orthogonal_pair(rng, dims)
+        protocol = synthesize(psi, phi)
+        d_pad, d_b = protocol.padded_dim_a, protocol.dim_b
+        selectors = [np.kron(row[None, :], np.eye(d_b)) for row in protocol.alice_vectors.conj()]
+        for state, probs in ((psi, protocol.outcome_probs_psi), (phi, protocol.outcome_probs_phi)):
+            amps = state.amplitudes.reshape(dims)
+            if protocol.swapped:
+                amps = amps.T
+            padded = np.zeros((d_pad, d_b), dtype=np.complex128)
+            padded[: amps.shape[0]] = amps
+            conds = [sel @ padded.reshape(-1) for sel in selectors]
+            want = np.array([np.vdot(c, c).real for c in conds])
+            assert np.max(np.abs(probs - want)) <= 1e-12
+            if state is psi:
+                for cond, b in zip(conds, protocol.bob_projectors, strict=True):
+                    norm = np.linalg.norm(cond)
+                    if norm > TAU_ZERO:
+                        assert np.max(np.abs(b - cond / norm)) <= 1e-12
+                    else:
+                        assert b is None
+
     def test_swap_roles_can_be_disabled(self):
         rng = np.random.default_rng(308)
         psi, phi = random_orthogonal_pair(rng, (5, 2))
