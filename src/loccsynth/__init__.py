@@ -26,7 +26,6 @@ from .linalg import (
     NotNormalizedError,
     StateVector,
     adjoint,
-    eig2x2,
     matmul,
     unvec,
     vec,
@@ -71,7 +70,6 @@ __all__ = [
     "VerificationReport",
     "adjoint",
     "build_env_code",
-    "eig2x2",
     "epsilon_truncate",
     "matmul",
     "multipartite_success_probability",

@@ -52,11 +52,11 @@ def cmd_synthesize(args) -> int:
         return _fail(str(exc), 1)
     try:
         protocol = synthesize(psi, phi)
+        plan = epsilon_truncate(protocol, args.epsilon) if args.epsilon is not None else None
     except NonOrthogonalInputError as exc:
         return _fail(str(exc), 2)
     except Exception as exc:
         return _fail(str(exc), 1)
-    plan = epsilon_truncate(protocol, args.epsilon) if args.epsilon is not None else None
     report = success_probability(psi, phi, protocol)
     if report.success_prob < 1.0 - SUCCESS_TOLERANCE:
         return _fail(

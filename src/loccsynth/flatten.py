@@ -2,10 +2,11 @@
 
 Given a square complex matrix M, produce a unitary U such that every
 diagonal entry of U M U* equals tr(M) / d_pad, where d_pad is M padded up
-to the next power of two.  For a 2x2 the unitary comes from a closed-form
-eigenbasis rotation; larger sizes are handled by pairing diagonal entries
-layer by layer, butterfly style, so exactly ceil(log2 d) layers run and
-each layer only ever solves independent 2x2 subproblems.
+to the next power of two.  For a 2x2 the unitary is written down from the
+numerical range of M in closed form, with no eigenvectors; larger sizes
+are handled by pairing diagonal entries layer by layer, butterfly style,
+so exactly ceil(log2 d) layers run and each layer only ever solves
+independent 2x2 subproblems.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import TAU_ZERO, TIE_REL, DimensionMismatchError, as_complex_array, eig2x2_batch
+from .linalg import DimensionMismatchError, as_complex_array
+
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -41,64 +44,45 @@ class FlatteningResult:
 def _uflat2_batch(m00, m01, m10, m11):
     """Columns (u, v) of the 2x2 flattening unitaries over aligned 1-D entry arrays.
 
-    Builds every 2x2 rotation of a butterfly layer in one shot.  u is built
-    so <u| (M - tr(M)/2 I) |u> = 0; v is the remaining basis vector.  Both
-    diagonal entries of U* M U then equal tr(M) / 2.  Returns the column
-    entries (u0, u1, v0, v1).
+    Builds every 2x2 rotation of a butterfly layer in one shot.  The
+    traceless part T = [[a, b], [c, -a]] of M has a convex numerical range
+    (Toeplitz-Hausdorff) holding a and -a, hence 0.  For u = (1, w) / |(1, w)|
+    with w = t zeta, t real, |zeta| = 1, <u|T|u> |(1, w)|^2 is
+    a (1 - t^2) + t (b zeta + c conj(zeta)).  zeta = z / |z| with
+    z = a conj(b) - conj(a) c makes s = conj(a) (b zeta + c conj(zeta))
+    real, so <u|T|u> = 0 is |a|^2 t^2 - s t - |a|^2 = 0; its roots multiply
+    to -1 and t is the one with |t| <= 1 (0 when a = 0), computed without
+    cancellation.  v = (-conj(w), 1) / |(1, w)|
+    completes the basis.  Both diagonal entries of U* M U then equal
+    tr(M) / 2.  Returns the column entries (u0, u1, v0, v1).
     """
-    half_tr = 0.5 * (m00 + m11)
-    t00 = m00 - half_tr
-    t11 = m11 - half_tr
-    fro = np.sqrt(
-        np.abs(t00) ** 2 + np.abs(m01) ** 2 + np.abs(m10) ** 2 + np.abs(t11) ** 2
-    )
-    l0, _l1, w00, w01, w10, w11 = eig2x2_batch(t00, m01, m10, t11)
-
-    # Zero eigenvalue: the eigenvector itself already has a vanishing
-    # diagonal expectation, pair it with its orthogonal complement.
-    zero = np.abs(l0) <= TAU_ZERO * fro
-
-    # Distinct eigenvalues +-l0: mix the eigenvectors with the phase that
-    # makes the cross terms cancel.  For a normal matrix the eigenvectors
-    # are orthogonal and any phase works; the inner product is then pure
-    # rounding noise, so read it as zero and use phase 1.
-    ip = w10.conjugate() * w00 + w11.conjugate() * w01
-    aip = np.abs(ip)
-    sig = aip > TIE_REL
-    e = np.where(sig, ip.conjugate() / np.where(sig, aip, 1.0), 1.0 + 0.0j)
-    xp0 = e * w00 + w10
-    xp1 = e * w01 + w11
-    npl = np.sqrt(np.abs(xp0) ** 2 + np.abs(xp1) ** 2)
-    npl = np.where(npl == 0.0, 1.0, npl)
-    gu0 = xp0 / npl
-    gu1 = xp1 / npl
-    xm0 = e * w00 - w10
-    xm1 = e * w01 - w11
-    nm = np.sqrt(np.abs(xm0) ** 2 + np.abs(xm1) ** 2)
-    collapsed = nm == 0.0
-    nm = np.where(collapsed, 1.0, nm)
-    gv0 = xm0 / nm
-    gv1 = xm1 / nm
-    # One re-orthogonalization pass keeps U unitary to working precision
-    # even when the eigenvectors are nearly parallel.
-    ov = gu0.conjugate() * gv0 + gu1.conjugate() * gv1
-    gv0 = gv0 - ov * gu0
-    gv1 = gv1 - ov * gu1
-    nv = np.sqrt(np.abs(gv0) ** 2 + np.abs(gv1) ** 2)
-    bad = collapsed | (nv == 0.0)
-    nv = np.where(nv == 0.0, 1.0, nv)
-    gv0 = np.where(bad, -gu1.conjugate(), gv0 / nv)
-    gv1 = np.where(bad, gu0.conjugate(), gv1 / nv)
-
-    u0 = np.where(zero, w00, gu0)
-    u1 = np.where(zero, w01, gu1)
-    v0 = np.where(zero, -w01.conjugate(), gv0)
-    v1 = np.where(zero, w00.conjugate(), gv1)
-    return u0, u1, v0, v1
+    a = 0.5 * (m00 - m11)
+    # u depends on T only up to a positive factor; scaling each lane to
+    # unit size keeps the products below from overflowing or underflowing.
+    # Dividing by a subnormal overflows, so subnormal r and z read as zero.
+    r = np.maximum(np.maximum(np.abs(a), np.abs(m01)), np.abs(m10))
+    r = np.where(r >= _TINY, r, 1.0)
+    a = a / r
+    b = m01 / r
+    c = m10 / r
+    z = a * b.conjugate() - a.conjugate() * c
+    az = np.abs(z)
+    zeta = np.where(az >= _TINY, z / np.where(az >= _TINY, az, 1.0), 1.0)
+    s = (a.conjugate() * (b * zeta + c * zeta.conjugate())).real
+    a2 = 2.0 * (a.real * a.real + a.imag * a.imag)
+    den = np.abs(s) + np.hypot(s, a2)
+    t = np.where(s > 0.0, -a2, a2) / np.where(den > 0.0, den, 1.0)
+    norm = 1.0 / np.sqrt(1.0 + t * t)
+    u1 = t * zeta * norm
+    return norm, u1, -u1.conjugate(), norm
 
 
 def uflat2(m: np.ndarray) -> np.ndarray:
-    """Unitary U = [u v] equalizing the diagonal of a 2x2: diag(U* M U) = tr(M)/2."""
+    """Unitary U = [u v] equalizing the diagonal of a 2x2: diag(U* M U) = tr(M)/2.
+
+    u is a unit vector with <u|M|u> = tr(M)/2, found in closed form from
+    the numerical range of M; v is its orthogonal complement.
+    """
     m = as_complex_array(m, "matrix")
     if m.shape != (2, 2):
         raise DimensionMismatchError(f"uflat2 expects a 2x2 matrix, got {m.shape}")

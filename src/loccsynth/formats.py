@@ -51,6 +51,13 @@ def _first_bad_pair(raw: list, name: str) -> str:
     return f"{name} is not a list of finite [re, im] pairs"
 
 
+def _integer(value: Any, name: str) -> int:
+    """``value`` if it is a JSON integer; booleans, floats and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _read(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -84,7 +91,8 @@ def load_state(path: str) -> StateVector:
     dims = doc.get("dims")
     if not isinstance(dims, list) or not dims:
         raise ValueError("state file needs a non-empty dims list")
-    state = StateVector(tuple(int(d) for d in dims), _unpairs(doc.get("amplitudes"), "amplitudes"))
+    dims = tuple(_integer(d, f"dims[{idx}]") for idx, d in enumerate(dims))
+    state = StateVector(dims, _unpairs(doc.get("amplitudes"), "amplitudes"))
     state.require_normalized()
     return state
 
@@ -104,8 +112,8 @@ def save_matrix(path: str, matrix: np.ndarray) -> None:
 
 def load_matrix(path: str) -> np.ndarray:
     doc = _read(path)
-    rows = int(doc.get("rows", 0))
-    cols = int(doc.get("cols", 0))
+    rows = _integer(doc.get("rows"), "rows")
+    cols = _integer(doc.get("cols"), "cols")
     if rows < 1 or cols < 1:
         raise ValueError("matrix file needs positive rows and cols")
     entries = _unpairs(doc.get("entries"), "entries")
@@ -116,8 +124,8 @@ def load_matrix(path: str) -> np.ndarray:
 
 def load_channel(path: str) -> KrausChannel:
     doc = _read(path)
-    d_a = int(doc.get("input_dim", 0))
-    d_b = int(doc.get("output_dim", 0))
+    d_a = _integer(doc.get("input_dim"), "input_dim")
+    d_b = _integer(doc.get("output_dim"), "output_dim")
     raw_kraus = doc.get("kraus")
     if not isinstance(raw_kraus, list) or not raw_kraus:
         raise ValueError("channel file needs a non-empty kraus list")
@@ -173,9 +181,9 @@ def save_protocol(path: str, protocol: Protocol, plan: TruncatedMessagePlan | No
 
 def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
     doc = _read(path)
-    d_pad = int(doc["padded_dim_a"])
-    d_a = int(doc["original_dim_a"])
-    d_b = int(doc["dim_b"])
+    d_pad = _integer(doc.get("padded_dim_a"), "padded_dim_a")
+    d_a = _integer(doc.get("original_dim_a"), "original_dim_a")
+    d_b = _integer(doc.get("dim_b"), "dim_b")
     alice = _unpairs(doc["alice_vectors"], "alice_vectors")
     if alice.size != d_pad * d_pad:
         raise ValueError(f"alice_vectors must have {d_pad * d_pad} entries, got {alice.size}")
@@ -210,10 +218,13 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
         epsilon = float(raw_plan["epsilon"])
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"truncation epsilon must lie in (0, 1], got {epsilon}")
+        kept = raw_plan.get("kept_outcomes")
+        if not isinstance(kept, list):
+            raise ValueError("truncation needs a kept_outcomes list")
         plan = TruncatedMessagePlan(
-            kept_outcomes=tuple(int(i) for i in raw_plan["kept_outcomes"]),
+            kept_outcomes=tuple(_integer(i, f"kept_outcomes[{idx}]") for idx, i in enumerate(kept)),
             epsilon=epsilon,
-            bits=int(raw_plan["bits"]),
+            bits=_integer(raw_plan.get("bits"), "bits"),
             retained_prob_psi=float(raw_plan["retained_prob_psi"]),
             retained_prob_phi=float(raw_plan["retained_prob_phi"]),
         )

@@ -140,102 +140,3 @@ def pad_rows(amplitudes: np.ndarray, rows: int, d_pad: int) -> np.ndarray:
     padded[:rows] = amplitudes.reshape(rows, -1)
     return padded
 
-
-# ---- closed-form 2x2 eigensolver ----
-#
-# The only eigendecomposition the synthesis pipeline needs.  Works lane by
-# lane on aligned entry arrays, so a butterfly layer of the flattening
-# solves all its 2x2 subproblems in one call; lanes that take a different
-# branch are masked with where().
-
-# Relative width of the "equal to working precision" band used when
-# ordering eigenvalues.  A traceless matrix has roots +-lam whose computed
-# moduli differ by rounding noise only; without the band the modulus
-# comparison would resolve that tie at random instead of falling through
-# to the real-part rule.
-TIE_REL = 1e-12
-
-
-def _modulus_greater(x, y):
-    # Elementwise lexicographic (|.|, Re, Im) comparison inside the
-    # working-precision tie band.
-    ax = np.abs(x)
-    ay = np.abs(y)
-    tie = TIE_REL * np.maximum(ax, ay)
-    by_mod = np.abs(ax - ay) > tie
-    by_re = np.abs(x.real - y.real) > tie
-    return np.where(
-        by_mod, ax > ay, np.where(by_re, x.real > y.real, (np.abs(x.imag - y.imag) > tie) & (x.imag > y.imag))
-    )
-
-
-def _eigvec_batch(a, b, c, d, lam, fro):
-    # The eigenvector annihilates both rows of (m - lam I) under the
-    # unconjugated pairing; build it from whichever row is larger.
-    r00 = a - lam
-    r01 = b
-    r10 = c
-    r11 = d - lam
-    n0 = np.abs(r00) ** 2 + np.abs(r01) ** 2
-    n1 = np.abs(r10) ** 2 + np.abs(r11) ** 2
-    take0 = n0 >= n1
-    p = np.where(take0, r00, r10)
-    q = np.where(take0, r01, r11)
-    nrm2 = np.where(take0, n0, n1)
-    # m is lam I to working precision; every vector qualifies.
-    tiny = nrm2 <= (TAU_ZERO * fro) ** 2
-    v0 = -q
-    v1 = p
-    nrm = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
-    safe = np.where(tiny, 1.0, nrm)
-    v0 = np.where(tiny, 1.0 + 0.0j, v0 / safe)
-    v1 = np.where(tiny, 0.0 + 0.0j, v1 / safe)
-    # Canonical phase: largest component real positive.
-    lead = np.where(np.abs(v0) >= np.abs(v1), v0, v1)
-    alead = np.abs(lead)
-    ph = np.where(alead > 0.0, lead / np.where(alead > 0.0, alead, 1.0), 1.0 + 0.0j)
-    return v0 * ph.conjugate(), v1 * ph.conjugate()
-
-
-def eig2x2_batch(a, b, c, d):
-    """Eigenpairs of the matrices [[a, b], [c, d]] over aligned 1-D entry arrays.
-
-    Returns ``(l0, l1, w00, w01, w10, w11)``: per lane the eigenvalues
-    ordered by ascending modulus (ties at working precision: ascending real
-    part, then ascending imaginary part) and the unit eigenvectors
-    ``(w00, w01)`` for l0 and ``(w10, w11)`` for l1.  A defective matrix
-    yields the same eigenvector twice.
-    """
-    fro = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2)
-    tr = a + d
-    det = a * d - b * c
-    sq = np.sqrt(tr * tr - 4.0 * det)
-    # Add the square root with the sign that avoids cancellation, then
-    # recover the other root from the determinant.
-    sq = np.where((tr.real * sq.real + tr.imag * sq.imag) < 0.0, -sq, sq)
-    big = 0.5 * (tr + sq)
-    degen = big == 0.0
-    small = np.where(degen, 0.0 + 0.0j, det / np.where(degen, 1.0, big))
-    big = np.where(degen, 0.0 + 0.0j, big)
-    swap = _modulus_greater(small, big)
-    l0 = np.where(swap, big, small)
-    l1 = np.where(swap, small, big)
-    w00, w01 = _eigvec_batch(a, b, c, d, l0, fro)
-    w10, w11 = _eigvec_batch(a, b, c, d, l1, fro)
-    return l0, l1, w00, w01, w10, w11
-
-
-def eig2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of a 2x2 complex matrix.
-
-    Returns ``(eigvals, eigvecs)`` where ``eigvals`` has the smaller-modulus
-    eigenvalue first (ties broken by ascending real, then imaginary part)
-    and ``eigvecs[:, k]`` is the unit eigenvector for ``eigvals[k]``.
-    """
-    m = as_complex_array(m, "matrix")
-    if m.shape != (2, 2):
-        raise DimensionMismatchError(f"eig2x2 expects a 2x2 matrix, got {m.shape}")
-    l0, l1, w00, w01, w10, w11 = eig2x2_batch(m[0, 0:1], m[0, 1:2], m[1, 0:1], m[1, 1:2])
-    vals = np.concatenate([l0, l1])
-    vecs = np.array([[w00[0], w10[0]], [w01[0], w11[0]]], dtype=np.complex128)
-    return vals, vecs

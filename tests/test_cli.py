@@ -97,6 +97,15 @@ class TestSynthesize:
         proc = run_cli("synthesize", str(tmp_path / "nope.json"), str(tmp_path / "nope.json"))
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("epsilon", ["2", "0", "nan"])
+    def test_epsilon_out_of_range_exit_1(self, bell_files, tmp_path, epsilon):
+        psi_path, phi_path = bell_files
+        out = tmp_path / "protocol.json"
+        proc = run_cli("synthesize", psi_path, phi_path, "--epsilon", epsilon, "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "epsilon" in proc.stderr
+        assert not out.exists()
+
 
 class TestVerify:
     def test_perfect_protocol(self, bell_files, tmp_path):
@@ -241,6 +250,66 @@ class TestVerify:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert abs(report["success_prob"] - 0.5) <= 1e-9
+
+
+def _edit_json(path, keys, value):
+    """Set doc[keys[0]][keys[1]]... to value, or delete it when value is None."""
+    doc = json.loads(open(path).read())
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    if value is None:
+        del inner[keys[-1]]
+    else:
+        inner[keys[-1]] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+class TestIntegerFields:
+    """Integer fields must be JSON integers: no truncated floats, no booleans."""
+
+    @pytest.mark.parametrize("dims", [[2.7, 2], [True, 4]])
+    def test_state_dims_exit_1(self, bell_files, dims):
+        for path in bell_files:
+            _edit_json(path, ["dims"], dims)
+        proc = run_cli("synthesize", *bell_files)
+        assert proc.returncode == 1
+        assert "dims[0] must be an integer" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            (["truncation", "kept_outcomes"], [0.9], "kept_outcomes[0]"),
+            (["truncation", "bits"], 1.0, "bits"),
+            (["padded_dim_a"], None, "padded_dim_a"),
+            (["dim_b"], True, "dim_b"),
+        ],
+    )
+    def test_protocol_fields_exit_1(self, bell_files, tmp_path, keys, value, field):
+        psi_path, phi_path = bell_files
+        out = str(tmp_path / "protocol.json")
+        assert run_cli("synthesize", psi_path, phi_path, "--epsilon", "0.6", "--out", out).returncode == 0
+        _edit_json(out, keys, value)
+        proc = run_cli("verify", psi_path, phi_path, out)
+        assert proc.returncode == 1
+        assert f"{field} must be an integer" in proc.stderr
+
+    def test_matrix_rows_exit_1(self, tmp_path):
+        m_path = str(tmp_path / "m.json")
+        formats.save_matrix(m_path, np.diag([1.0, -1.0]).astype(np.complex128))
+        _edit_json(m_path, ["rows"], 2.0)
+        proc = run_cli("flatten", m_path)
+        assert proc.returncode == 1
+        assert "rows must be an integer" in proc.stderr
+
+    def test_channel_input_dim_exit_1(self, tmp_path):
+        c_path = str(tmp_path / "c.json")
+        formats.save_channel(c_path, KrausChannel(2, 2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))))
+        _edit_json(c_path, ["input_dim"], True)
+        proc = run_cli("envcode", c_path)
+        assert proc.returncode == 1
+        assert "input_dim must be an integer" in proc.stderr
 
 
 class TestFlatten:

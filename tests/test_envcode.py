@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_kraus_ops, random_state
+from conftest import random_kraus_ops, random_orthogonal_pair, random_state
 from loccsynth import (
     DimensionMismatchError,
     KrausChannel,
@@ -11,6 +11,7 @@ from loccsynth import (
     NotNormalizedError,
     build_env_code,
     stinespring,
+    success_probability,
 )
 
 S = 1 / np.sqrt(2)
@@ -172,3 +173,24 @@ class TestBuildEnvCode:
         channel = KrausChannel(1, 2, (np.array([[1.0], [0.0]]),))
         with pytest.raises(ValueError):
             build_env_code(channel)
+
+
+class TestConverse:
+    """A pair of states is a channel whose environment can decode it.
+
+    The isometry V|0> = psi, V|1> = phi, read with A as the environment,
+    has Kraus operators K_k = (<k|_A x 1) V.  Its assisted code is then a
+    discrimination protocol for the original pair.
+    """
+
+    @pytest.mark.parametrize("dims", [(3, 5), (4, 4), (6, 2)])
+    def test_code_of_pair_channel_discriminates_the_pair(self, dims):
+        d_a, d_b = dims
+        psi, phi = random_orthogonal_pair(np.random.default_rng([506, *dims]), dims)
+        v = np.column_stack([psi.amplitudes, phi.amplitudes]).reshape(d_a, d_b, 2)
+        channel = KrausChannel(2, d_b, tuple(v[k] for k in range(d_a)))
+        code = build_env_code(channel)
+        assert code.error_prob <= 1e-12
+        assert (code.protocol.original_dim_a, code.protocol.dim_b) == dims
+        report = success_probability(psi, phi, code.protocol)
+        assert abs(report.success_prob - 1.0) <= 1e-12

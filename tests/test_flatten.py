@@ -8,7 +8,6 @@ from loccsynth import (
     DimensionMismatchError,
     FlatteningResult,
     adjoint,
-    eig2x2,
     uflat2,
     uflatgen,
     verify_flat,
@@ -115,14 +114,6 @@ class TestUflat2:
 
         for k, m in enumerate(mats):
             scale = 1e-10 * (1.0 + np.linalg.norm(m, "fro"))
-            vals, vecs = eig2x2(m)
-            want = np.linalg.eigvals(m)
-            assert min(
-                np.max(np.abs(vals - want)), np.max(np.abs(vals - want[::-1]))
-            ) <= scale, (k, m)
-            for j in range(2):
-                assert np.linalg.norm(m @ vecs[:, j] - vals[j] * vecs[:, j]) <= scale, (k, m)
-                assert abs(np.linalg.norm(vecs[:, j]) - 1.0) <= 1e-12, (k, m)
             u = cur[2 * k : 2 * k + 2, 2 * z : 2 * z + 2].conj().T
             assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-12, (k, m)
             flat = u.conj().T @ m @ u

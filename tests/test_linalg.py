@@ -1,4 +1,4 @@
-"""Dense complex primitives: states, products, reshaping, 2x2 eigensolve."""
+"""Dense complex primitives: states, products, reshaping."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,11 @@ from loccsynth import (
     NotNormalizedError,
     StateVector,
     adjoint,
-    eig2x2,
     matmul,
     unvec,
     vec,
 )
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 
 
@@ -144,75 +142,3 @@ class TestUnvecVec:
         with pytest.raises(DimensionMismatchError):
             unvec(StateVector((2, 2, 2), np.zeros(8)))
 
-
-class TestEig2x2:
-    def test_pauli_x(self):
-        vals, vecs = eig2x2(PAULI_X)
-        assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
-        s = 1 / np.sqrt(2)
-        assert np.allclose(vecs[:, 0], [s, -s], atol=1e-12)
-        assert np.allclose(vecs[:, 1], [s, s], atol=1e-12)
-
-    def test_diagonal_sign_matrix(self):
-        vals, vecs = eig2x2(np.diag([1.0, -1.0]).astype(np.complex128))
-        # Equal moduli, so real part breaks the tie: -1 first.
-        assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
-        assert np.allclose(vecs[:, 0], [0.0, 1.0], atol=1e-12)
-        assert np.allclose(vecs[:, 1], [1.0, 0.0], atol=1e-12)
-
-    def test_nilpotent_defective(self):
-        vals, vecs = eig2x2(NILPOTENT)
-        assert np.allclose(vals, [0.0, 0.0], atol=1e-15)
-        # Defective: the single eigenvector is reported in both columns.
-        assert np.allclose(vecs[:, 0], [1.0, 0.0], atol=1e-12)
-        assert np.allclose(vecs[:, 1], [1.0, 0.0], atol=1e-12)
-
-    def test_complex_upper_triangular(self):
-        # Non-normal matrix with complex entries; the eigenvector of the
-        # larger eigenvalue is not the orthogonal complement of the other.
-        m = np.array([[1.0, 1.0j], [0.0, 2.0]])
-        vals, vecs = eig2x2(m)
-        fro = np.linalg.norm(m, "fro")
-        for k in range(2):
-            r = m @ vecs[:, k] - vals[k] * vecs[:, k]
-            assert np.linalg.norm(r) <= 1e-10 * fro
-
-    def test_random_spectra(self):
-        rng = np.random.default_rng(106)
-        for trial in range(300):
-            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            if trial % 3 == 0:
-                m = m + m.conj().T  # keep Hermitian cases in the mix
-            if trial % 5 == 0:
-                m = m - np.trace(m) / 2 * np.eye(2)  # and traceless ones
-            vals, vecs = eig2x2(m)
-            fro = np.linalg.norm(m, "fro")
-            scale = 1e-10 * (1.0 + fro**2)
-            assert abs(vals[0] + vals[1] - np.trace(m)) <= scale
-            assert abs(vals[0] * vals[1] - np.linalg.det(m)) <= scale
-            assert abs(vals[0]) <= abs(vals[1]) + 1e-10 * fro
-            for k in range(2):
-                r = m @ vecs[:, k] - vals[k] * vecs[:, k]
-                assert np.linalg.norm(r) <= 1e-10 * max(fro, 1e-300)
-                assert abs(np.linalg.norm(vecs[:, k]) - 1.0) <= 1e-12
-
-    def test_eigenvector_phase_is_canonical(self):
-        # Largest-modulus component is made real positive, so a global
-        # phase on the input must not leak into the eigenvectors.
-        rng = np.random.default_rng(107)
-        for _ in range(50):
-            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            _, v1 = eig2x2(m)
-            for k in range(2):
-                lead = v1[:, k][np.argmax(np.abs(v1[:, k]))]
-                assert abs(lead.imag) <= 1e-12
-                assert lead.real > 0
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(DimensionMismatchError):
-            eig2x2(np.zeros((3, 3), dtype=np.complex128))
-
-    def test_zero_matrix(self):
-        vals, vecs = eig2x2(np.zeros((2, 2), dtype=np.complex128))
-        assert np.array_equal(vals, [0.0, 0.0])
-        assert np.allclose(vecs[:, 0], [1.0, 0.0])
