@@ -100,9 +100,7 @@ def _mix_pairs(a: np.ndarray, b: np.ndarray, c00, c01, c10, c11) -> None:
 
 
 def uflatgen(
-    m: np.ndarray,
-    d: int | None = None,
-    on_layer: Callable[[int, np.ndarray], None] | None = None,
+    m: np.ndarray, on_layer: Callable[[int, np.ndarray], None] | None = None
 ) -> FlatteningResult:
     """Flatten the diagonal of a d x d matrix, d >= 2.
 
@@ -119,10 +117,7 @@ def uflatgen(
     m = as_complex_array(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"uflatgen expects a square matrix, got {m.shape}")
-    if d is None:
-        d = m.shape[0]
-    if d != m.shape[0]:
-        raise DimensionMismatchError(f"declared dimension {d} does not match shape {m.shape}")
+    d = m.shape[0]
     if d < 2:
         raise DimensionMismatchError("uflatgen needs dimension >= 2")
 

@@ -129,14 +129,3 @@ def vec(matrix: np.ndarray, dims: tuple[int, int] | None = None) -> StateVector:
         raise DimensionMismatchError(f"matrix shape {m.shape} does not match dims {dims}")
     return StateVector((d_a, d_b), m.T.reshape(-1))
 
-
-def pad_rows(amplitudes: np.ndarray, rows: int, d_pad: int) -> np.ndarray:
-    """Amplitudes as a (rows, cols) matrix, zero padded to (d_pad, cols).
-
-    Row i holds the coefficients that go with basis vector i of the first
-    factor; the padded rows belong to basis vectors the state never uses.
-    """
-    padded = np.zeros((d_pad, amplitudes.size // rows), dtype=np.complex128)
-    padded[:rows] = amplitudes.reshape(rows, -1)
-    return padded
-

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TAU_NORM, TAU_ORTH, TAU_ZERO, DimensionMismatchError, StateVector, pad_rows
+from .linalg import TAU_NORM, TAU_ORTH, TAU_ZERO, DimensionMismatchError, StateVector
 from .synthesis import (
     BranchNode,
     GuessLeaf,
@@ -44,8 +44,8 @@ class VerificationReport:
     kept_mass: tuple[float, float]
 
 
-def _oriented_padded(state: StateVector, protocol: Protocol) -> np.ndarray:
-    """Reorder and pad a raw input to match the protocol's role order."""
+def _oriented(state: StateVector, protocol: Protocol) -> np.ndarray:
+    """A raw input as a (d_A, d_B) amplitude matrix in the protocol's role order."""
     if len(state.dims) != 2:
         raise DimensionMismatchError("expected bipartite states")
     amps = state.amplitudes.reshape(state.dims)
@@ -57,7 +57,12 @@ def _oriented_padded(state: StateVector, protocol: Protocol) -> np.ndarray:
             f"states of dims ({d_a}, {d_b}) do not fit a protocol on "
             f"({protocol.original_dim_a}, {protocol.dim_b})"
         )
-    return pad_rows(amps, d_a, protocol.padded_dim_a)
+    return amps
+
+
+def _outcome_rows(alice_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row i: the rest's state after outcome i; padding columns would meet zero rows of m."""
+    return alice_vectors[:, : m.shape[0]].conj() @ m
 
 
 def _check_measurement(protocol: Protocol) -> None:
@@ -74,8 +79,8 @@ def _check_measurement(protocol: Protocol) -> None:
 
 def _outcome_table(m_psi: np.ndarray, m_phi: np.ndarray, protocol: Protocol):
     """Per-outcome probabilities and correct-guess masses for both states."""
-    cond_psi = protocol.alice_vectors.conj() @ m_psi
-    cond_phi = protocol.alice_vectors.conj() @ m_phi
+    cond_psi = _outcome_rows(protocol.alice_vectors, m_psi)
+    cond_phi = _outcome_rows(protocol.alice_vectors, m_phi)
     q_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
     q_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
     ok_psi = np.zeros(protocol.padded_dim_a)
@@ -114,8 +119,8 @@ def success_probability(
     phi.require_normalized()
     if psi.dims != phi.dims:
         raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
-    m_psi = _oriented_padded(psi, protocol)
-    m_phi = _oriented_padded(phi, protocol)
+    m_psi = _oriented(psi, protocol)
+    m_phi = _oriented(phi, protocol)
     _check_measurement(protocol)
     q_psi, q_phi, ok_psi, ok_phi, residual = _outcome_table(m_psi, m_phi, protocol)
 
@@ -172,9 +177,9 @@ def sample_run(
     if truth not in ("psi", "phi"):
         raise ValueError(f"truth must be 'psi' or 'phi', got {truth!r}")
     state.require_normalized()
-    m_state = _oriented_padded(state, protocol)
+    m_state = _oriented(state, protocol)
     _check_measurement(protocol)
-    cond = protocol.alice_vectors.conj() @ m_state
+    cond = _outcome_rows(protocol.alice_vectors, m_state)
     q = np.einsum("ij,ij->i", cond.conj(), cond).real
     guess_psi_prob = np.zeros(protocol.padded_dim_a)
     for i, b in enumerate(protocol.bob_projectors):
@@ -217,19 +222,18 @@ def _tree_success(a_psi: np.ndarray, a_phi: np.ndarray, dims: tuple[int, ...], n
         mass_psi = float(np.vdot(a_psi, a_psi).real)
         mass_phi = float(np.vdot(a_phi, a_phi).real)
         return (mass_psi, 0.0) if node.guess == "psi" else (0.0, mass_phi)
+    m_psi = a_psi.reshape(dims[0], -1)
+    m_phi = a_phi.reshape(dims[0], -1)
     if isinstance(node, Protocol):
-        m_psi = pad_rows(a_psi, dims[0], node.padded_dim_a)
-        m_phi = pad_rows(a_phi, dims[0], node.padded_dim_a)
         _, _, ok_psi, ok_phi, _ = _outcome_table(m_psi, m_phi, node)
         return float(ok_psi.sum()), float(ok_phi.sum())
     # Branch node: condition on each announced outcome and recurse.
-    rest = dims[1:]
-    cond_psi = node.alice_vectors.conj() @ pad_rows(a_psi, dims[0], node.padded_dim)
-    cond_phi = node.alice_vectors.conj() @ pad_rows(a_phi, dims[0], node.padded_dim)
+    cond_psi = _outcome_rows(node.alice_vectors, m_psi)
+    cond_phi = _outcome_rows(node.alice_vectors, m_phi)
     total_psi = 0.0
     total_phi = 0.0
     for i, child in enumerate(node.children):
-        s_psi, s_phi = _tree_success(cond_psi[i], cond_phi[i], rest, child)
+        s_psi, s_phi = _tree_success(cond_psi[i], cond_phi[i], dims[1:], child)
         total_psi += s_psi
         total_phi += s_phi
     return total_psi, total_phi

@@ -24,10 +24,6 @@ from .linalg import (
     DimensionMismatchError,
     NonOrthogonalInputError,
     StateVector,
-    adjoint,
-    matmul,
-    pad_rows,
-    unvec,
 )
 
 
@@ -137,12 +133,12 @@ def overlap_matrix(psi: StateVector, phi: StateVector) -> np.ndarray:
         raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
     psi.require_normalized()
     phi.require_normalized()
-    return matmul(adjoint(unvec(phi)), unvec(psi))
+    return _overlap(psi.amplitudes.reshape(psi.dims), phi.amplitudes.reshape(phi.dims))
 
 
-def _swap_factors(state: StateVector) -> StateVector:
-    d_a, d_b = state.dims
-    return StateVector((d_b, d_a), state.amplitudes.reshape(d_a, d_b).T.reshape(-1))
+def _overlap(m_psi: np.ndarray, m_phi: np.ndarray) -> np.ndarray:
+    """M = conj(m_phi) @ m_psi^T for (d_A, rest) amplitude matrices."""
+    return m_phi.conj() @ m_psi.T
 
 
 def _check_pair(psi: StateVector, phi: StateVector) -> complex:
@@ -171,50 +167,45 @@ def synthesize(psi: StateVector, phi: StateVector, swap_roles: bool = True) -> P
             "use synthesize_multipartite for three or more factors"
         )
     ov = _check_pair(psi, phi)
+    m_psi = psi.amplitudes.reshape(psi.dims)
+    m_phi = phi.amplitudes.reshape(phi.dims)
     d_a, d_b = psi.dims
     swapped = swap_roles and d_a > d_b
     if swapped:
-        psi = _swap_factors(psi)
-        phi = _swap_factors(phi)
-    return _synthesize_checked(psi, phi, swapped=swapped, input_overlap=ov)
+        m_psi, m_phi = m_psi.T, m_phi.T
+    return _synthesize_checked(m_psi, m_phi, swapped=swapped, input_overlap=ov)
 
 
-def _measurement_basis(psi: StateVector, phi: StateVector):
-    """First-party measurement basis that flattens the pair's overlap matrix.
+def _measure(m_psi: np.ndarray, m_phi: np.ndarray):
+    """First-party basis that flattens the overlap of two (d_A, rest) amplitude matrices.
 
-    Every factor after the first counts as the second party.  Returns
-    ``(u, residual, m_psi, m_phi)``: the basis vectors as rows of u over
-    the first factor zero padded to d_pad = 2**ceil(log2 d_A), the flatten
-    residual, and both states as (d_pad, rest) amplitude matrices.
+    Returns ``(u, residual, cond_psi, cond_phi)``: the basis as the rows of
+    u, d_pad x d_pad as :func:`uflatgen` pads it, the flatten residual, and
+    the outcome rows, row i the rest's unnormalized state after outcome i.
     """
-    d_a = psi.dims[0]
-    d_pad = 1 << (d_a - 1).bit_length()
-    m_psi = pad_rows(psi.amplitudes, d_a, d_pad)
-    m_phi = pad_rows(phi.amplitudes, d_a, d_pad)
-    if d_pad == 1:
+    d_a = m_psi.shape[0]
+    if d_a == 1:
         # A single outcome: the measuring party is trivial and the second
         # party discriminates the (orthogonal) states on its own.
-        return np.eye(1, dtype=np.complex128), 0.0, m_psi, m_phi
-    padded = (d_pad, m_psi.shape[1])
-    flat = uflatgen(overlap_matrix(StateVector(padded, m_psi), StateVector(padded, m_phi)))
-    return flat.unitary, flat.residual, m_psi, m_phi
+        u, residual = np.eye(1, dtype=np.complex128), 0.0
+    else:
+        flat = uflatgen(_overlap(m_psi, m_phi))
+        u, residual = flat.unitary, flat.residual
+    # Padded rows of a state are zero, so conj(u) @ pad(m) = conj(u[:, :d_A]) @ m.
+    rows = u[:, :d_a].conj()
+    return u, residual, rows @ m_psi, rows @ m_phi
 
 
 def _synthesize_checked(
-    psi: StateVector, phi: StateVector, swapped: bool, input_overlap: complex
+    m_psi: np.ndarray, m_phi: np.ndarray, swapped: bool, input_overlap: complex
 ) -> Protocol:
-    d_a, d_b = psi.dims
-    u, flat_residual, m_psi, m_phi = _measurement_basis(psi, phi)
-    d_pad = u.shape[0]
-    # Row i is the second party's conditional state after outcome i,
-    # (<i| u_bar tensor 1_B) |state>, as one (d_pad, d_pad) x (d_pad, d_B) product.
-    cond_psi = u.conj() @ m_psi
-    cond_phi = u.conj() @ m_phi
+    d_a, d_b = m_psi.shape
+    u, flat_residual, cond_psi, cond_phi = _measure(m_psi, m_phi)
     probs_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
     probs_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
 
     projectors: list[np.ndarray | None] = []
-    for i in range(d_pad):
+    for i in range(u.shape[0]):
         n = math.sqrt(probs_psi[i]) if probs_psi[i] > 0.0 else 0.0
         projectors.append(cond_psi[i] / n if n > TAU_ZERO else None)
 
@@ -223,7 +214,7 @@ def _synthesize_checked(
         bob_projectors=tuple(projectors),
         outcome_probs_psi=probs_psi,
         outcome_probs_phi=probs_phi,
-        padded_dim_a=d_pad,
+        padded_dim_a=u.shape[0],
         original_dim_a=d_a,
         dim_b=d_b,
         swapped=swapped,
@@ -373,25 +364,23 @@ def synthesize_multipartite(psi: StateVector, phi: StateVector) -> MultipartiteP
             f"need at least 3 factors, got dims {psi.dims}; use synthesize for 2"
         )
     _check_pair(psi, phi)
-    root = _synthesize_tree(psi, phi)
+    root = _synthesize_tree(psi.amplitudes, phi.amplitudes, psi.dims)
     return MultipartiteProtocol(dims=psi.dims, root=root)
 
 
-def _synthesize_tree(psi: StateVector, phi: StateVector):
-    dims = psi.dims
+def _synthesize_tree(a_psi: np.ndarray, a_phi: np.ndarray, dims: tuple[int, ...]):
+    """Subtree for a normalized pair of flat amplitude arrays over ``dims``."""
+    m_psi = a_psi.reshape(dims[0], -1)
+    m_phi = a_phi.reshape(dims[0], -1)
     if len(dims) == 2:
         # Orthogonality holds by construction on recursive calls; the top
         # level pair was checked before recursion started.
-        return _synthesize_checked(psi, phi, swapped=False, input_overlap=phi.overlap(psi))
-    d0 = dims[0]
-    rest = dims[1:]
-    u, _, m_psi, m_phi = _measurement_basis(psi, phi)
-    d_pad = u.shape[0]
-    cond_psi = u.conj() @ m_psi
-    cond_phi = u.conj() @ m_phi
+        ov = complex(np.vdot(a_phi, a_psi))
+        return _synthesize_checked(m_psi, m_phi, swapped=False, input_overlap=ov)
+    u, _, cond_psi, cond_phi = _measure(m_psi, m_phi)
 
     children: list = []
-    for i in range(d_pad):
+    for i in range(u.shape[0]):
         n_psi = float(np.linalg.norm(cond_psi[i]))
         n_phi = float(np.linalg.norm(cond_phi[i]))
         if n_psi <= TAU_ZERO and n_phi <= TAU_ZERO:
@@ -401,15 +390,10 @@ def _synthesize_tree(psi: StateVector, phi: StateVector):
         elif n_phi <= TAU_ZERO:
             children.append(GuessLeaf("psi"))
         else:
-            children.append(
-                _synthesize_tree(
-                    StateVector(rest, cond_psi[i] / n_psi),
-                    StateVector(rest, cond_phi[i] / n_phi),
-                )
-            )
+            children.append(_synthesize_tree(cond_psi[i] / n_psi, cond_phi[i] / n_phi, dims[1:]))
     return BranchNode(
         alice_vectors=u,
-        padded_dim=d_pad,
-        original_dim=d0,
+        padded_dim=u.shape[0],
+        original_dim=dims[0],
         children=tuple(children),
     )

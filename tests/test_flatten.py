@@ -239,5 +239,3 @@ class TestUflatgen:
             uflatgen(np.ones((1, 1)))
         with pytest.raises(DimensionMismatchError):
             uflatgen(np.ones((2, 3)))
-        with pytest.raises(DimensionMismatchError):
-            uflatgen(np.eye(4), d=3)
