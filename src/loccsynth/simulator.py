@@ -65,16 +65,33 @@ def _outcome_rows(alice_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
     return alice_vectors[:, : m.shape[0]].conj() @ m
 
 
-def _check_measurement(protocol: Protocol) -> None:
-    """Refuse measurement rows that are not orthonormal and decoders that are not unit vectors."""
-    u = protocol.alice_vectors
-    # Written as "not within tolerance" so that NaN entries fail the checks.
-    defect = float(np.max(np.abs(u @ u.conj().T - np.eye(protocol.padded_dim_a))))
-    if not defect <= TAU_NORM:
-        raise ValueError(f"measurement rows are not orthonormal: max|U U* - I| = {defect:.3e}")
-    for i, b in enumerate(protocol.bob_projectors):
-        if b is not None and not abs(np.linalg.norm(b) - 1.0) <= TAU_NORM:
-            raise ValueError(f"decoder {i} has norm {np.linalg.norm(b)!r}, not 1")
+def _check_measurements(bases: list, decoders: list) -> None:
+    """Refuse measurement rows that are not orthonormal and decoders that are not unit vectors.
+
+    ``decoders`` may hold None (answer phi), which needs no check; a bad
+    decoder is named by its position in the list.  Arrays of one shape are
+    checked together as one stack.
+    """
+    for _, u in _stacks(bases):
+        # Written as "not within tolerance" so that NaN entries fail the checks.
+        gram = u @ u.conj().transpose(0, 2, 1)
+        defect = float(np.max(np.abs(gram - np.eye(u.shape[1]))))
+        if not defect <= TAU_NORM:
+            raise ValueError(f"measurement rows are not orthonormal: max|U U* - I| = {defect:.3e}")
+    for where, b in _stacks(decoders):
+        norms = np.linalg.norm(b, axis=1)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= TAU_NORM))
+        if bad.size:
+            raise ValueError(f"decoder {where[bad[0]]} has norm {norms[bad[0]]!r}, not 1")
+
+
+def _stacks(arrays: list):
+    """(positions, stacked arrays) for each shape among the arrays that are not None."""
+    groups: dict = {}
+    for i, a in enumerate(arrays):
+        if a is not None:
+            groups.setdefault(a.shape, []).append(i)
+    return [(where, np.stack([arrays[i] for i in where])) for where in groups.values()]
 
 
 def _outcome_table(m_psi: np.ndarray, m_phi: np.ndarray, protocol: Protocol):
@@ -121,7 +138,7 @@ def success_probability(
         raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
     m_psi = _oriented(psi, protocol)
     m_phi = _oriented(phi, protocol)
-    _check_measurement(protocol)
+    _check_measurements([protocol.alice_vectors], list(protocol.bob_projectors))
     q_psi, q_phi, ok_psi, ok_phi, residual = _outcome_table(m_psi, m_phi, protocol)
 
     if plan is None:
@@ -178,7 +195,7 @@ def sample_run(
         raise ValueError(f"truth must be 'psi' or 'phi', got {truth!r}")
     state.require_normalized()
     m_state = _oriented(state, protocol)
-    _check_measurement(protocol)
+    _check_measurements([protocol.alice_vectors], list(protocol.bob_projectors))
     cond = _outcome_rows(protocol.alice_vectors, m_state)
     q = np.einsum("ij,ij->i", cond.conj(), cond).real
     guess_psi_prob = np.zeros(protocol.padded_dim_a)
@@ -201,7 +218,12 @@ def sample_run(
 def multipartite_success_probability(
     psi: StateVector, phi: StateVector, protocol: MultipartiteProtocol
 ) -> float:
-    """Exact success probability of a protocol tree, by full enumeration."""
+    """Exact success probability of a protocol tree, by full enumeration.
+
+    Raises ValueError when the measurement rows of some node are not
+    orthonormal, a leaf decoder is not a unit vector, or a branch node
+    does not have one child per outcome.
+    """
     if psi.dims != phi.dims:
         raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
     if psi.dims != protocol.dims:
@@ -210,12 +232,22 @@ def multipartite_success_probability(
         )
     psi.require_normalized()
     phi.require_normalized()
-    ok_psi, ok_phi = _tree_success(psi.amplitudes, phi.amplitudes, protocol.dims, protocol.root)
+    bases: list = []
+    decoders: list = []
+    ok_psi, ok_phi = _tree_success(
+        psi.amplitudes, phi.amplitudes, protocol.dims, protocol.root, bases, decoders
+    )
+    # One check per array shape over every node costs far less than one per node.
+    _check_measurements(bases, decoders)
     return 0.5 * (ok_psi + ok_phi)
 
 
-def _tree_success(a_psi: np.ndarray, a_phi: np.ndarray, dims: tuple[int, ...], node):
-    """Correct-guess masses of a subtree on unnormalized conditional pairs."""
+def _tree_success(a_psi, a_phi, dims: tuple[int, ...], node, bases: list, decoders: list):
+    """Correct-guess masses of a subtree on unnormalized conditional pairs.
+
+    Appends the measurement rows and decoders of every node it visits to
+    ``bases`` and ``decoders``, for one check after the walk.
+    """
     if node is None:
         return 0.0, 0.0
     if isinstance(node, GuessLeaf):
@@ -224,16 +256,23 @@ def _tree_success(a_psi: np.ndarray, a_phi: np.ndarray, dims: tuple[int, ...], n
         return (mass_psi, 0.0) if node.guess == "psi" else (0.0, mass_phi)
     m_psi = a_psi.reshape(dims[0], -1)
     m_phi = a_phi.reshape(dims[0], -1)
+    bases.append(node.alice_vectors)
     if isinstance(node, Protocol):
+        decoders.extend(node.bob_projectors)
         _, _, ok_psi, ok_phi, _ = _outcome_table(m_psi, m_phi, node)
         return float(ok_psi.sum()), float(ok_phi.sum())
     # Branch node: condition on each announced outcome and recurse.
+    if len(node.children) != len(node.alice_vectors):
+        raise ValueError(
+            f"branch node has {len(node.children)} children for "
+            f"{len(node.alice_vectors)} outcomes"
+        )
     cond_psi = _outcome_rows(node.alice_vectors, m_psi)
     cond_phi = _outcome_rows(node.alice_vectors, m_phi)
     total_psi = 0.0
     total_phi = 0.0
     for i, child in enumerate(node.children):
-        s_psi, s_phi = _tree_success(cond_psi[i], cond_phi[i], dims[1:], child)
+        s_psi, s_phi = _tree_success(cond_psi[i], cond_phi[i], dims[1:], child, bases, decoders)
         total_psi += s_psi
         total_phi += s_phi
     return total_psi, total_phi

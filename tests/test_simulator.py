@@ -1,5 +1,7 @@
 """Protocol evaluation: exact scoring, truncation plans, sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from loccsynth import (
     StateVector,
     TruncatedMessagePlan,
     epsilon_truncate,
+    multipartite_success_probability,
     sample_run,
     success_probability,
     synthesize,
+    synthesize_multipartite,
 )
 
 
@@ -214,3 +218,38 @@ class TestSampleRun:
 
         with pytest.raises(NotNormalizedError):
             sample_run(crooked, protocol, seed=1, shots=10)
+
+
+class TestMultipartiteSuccessProbability:
+    @staticmethod
+    def tree():
+        psi, phi = random_orthogonal_pair(np.random.default_rng(502), (2, 2, 2))
+        tree = synthesize_multipartite(psi, phi)
+        assert all(isinstance(child, Protocol) for child in tree.root.children)
+        assert multipartite_success_probability(psi, phi, tree) >= 1 - 1e-9
+        return psi, phi, tree
+
+    def test_rejects_scaled_root(self):
+        # Scored as if valid, the root basis times 3 reaches 9.0.
+        psi, phi, tree = self.tree()
+        root = replace(tree.root, alice_vectors=3.0 * tree.root.alice_vectors)
+        with pytest.raises(ValueError, match="orthonormal"):
+            multipartite_success_probability(psi, phi, replace(tree, root=root))
+
+    def test_rejects_nan_leaf_decoder(self):
+        psi, phi, tree = self.tree()
+        leaf = tree.root.children[1]
+        decoders = list(leaf.bob_projectors)
+        slot = next(i for i, b in enumerate(decoders) if b is not None)
+        decoders[slot] = np.full(leaf.dim_b, np.nan, dtype=np.complex128)
+        children = (tree.root.children[0], replace(leaf, bob_projectors=tuple(decoders)))
+        root = replace(tree.root, children=children)
+        with pytest.raises(ValueError, match="decoder"):
+            multipartite_success_probability(psi, phi, replace(tree, root=root))
+
+    def test_rejects_branch_without_a_child_per_outcome(self):
+        # With one child for two outcomes the tree scored a plausible 0.39.
+        psi, phi, tree = self.tree()
+        root = replace(tree.root, children=tree.root.children[:1])
+        with pytest.raises(ValueError, match="children"):
+            multipartite_success_probability(psi, phi, replace(tree, root=root))
