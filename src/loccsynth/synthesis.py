@@ -12,7 +12,6 @@ outcome, so the final guess is never wrong.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +32,12 @@ class Protocol:
 
     ``alice_vectors`` holds the measuring party's orthonormal basis, one
     vector per row, over the zero-padded first factor.  ``bob_projectors``
-    holds, per outcome, the unit vector whose projector means "guess psi",
-    or None when the psi branch has no support on that outcome (then the
-    decoder answers phi without measuring).  ``swapped`` records that the
-    two input factors were reordered so the smaller one measures first.
+    holds, per outcome, the unit vector whose projector means "guess psi":
+    the second party's psi branch where psi is the likelier state, and the
+    part of it orthogonal to the phi branch elsewhere.  None means the
+    decoder answers phi without measuring, where that part vanishes.
+    ``swapped`` records that the two input factors were reordered so the
+    smaller one measures first.
     """
 
     alice_vectors: np.ndarray
@@ -206,8 +207,16 @@ def _synthesize_checked(
 
     projectors: list[np.ndarray | None] = []
     for i in range(u.shape[0]):
-        n = math.sqrt(probs_psi[i]) if probs_psi[i] > 0.0 else 0.0
-        projectors.append(cond_psi[i] / n if n > TAU_ZERO else None)
+        # "psi" is the psi branch, minus the phi branch where phi is at least
+        # as likely.  A tilted pair (|<phi|psi>| up to TAU_ORTH) leaves the two
+        # branches overlapping by M_ii; projecting out the heavier one loses
+        # only |M_ii|^2 / max(p_psi, p_phi).  Parallel branches (always when
+        # d_B = 1) then leave "psi" on the likelier branch only.
+        r = cond_psi[i]
+        if probs_phi[i] >= probs_psi[i] and probs_phi[i] > TAU_ZERO**2:
+            r = r - np.vdot(cond_phi[i], r) / probs_phi[i] * cond_phi[i]
+        n = float(np.linalg.norm(r))
+        projectors.append(r / n if n > TAU_ZERO else None)
 
     return Protocol(
         alice_vectors=u,

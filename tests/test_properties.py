@@ -7,12 +7,15 @@ distinguishable by one-way LOCC.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthogonal_pair
 from loccsynth import (
+    TAU_ORTH,
     FlatteningResult,
+    StateVector,
     adjoint,
     success_probability,
     synthesize,
@@ -92,12 +95,35 @@ class TestWalgate:
         d_b=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
         swap_roles=st.booleans(),
+        tilt=st.sampled_from([0.0, 0.9 * TAU_ORTH]),
     )
-    def test_orthogonal_pairs_are_distinguished(self, d_a, d_b, seed, swap_roles):
+    # Tilted to the edge of the orthogonality gate: with one-dimensional
+    # decoding a decoder along the psi branch said "psi" everywhere (0.5).
+    @example(d_a=3, d_b=1, seed=0, swap_roles=False, tilt=0.9 * TAU_ORTH)
+    def test_orthogonal_pairs_are_distinguished(self, d_a, d_b, seed, swap_roles, tilt):
         if d_a * d_b < 2:
             d_b = 2  # one dimension holds no orthogonal pair
-        psi, phi = random_orthogonal_pair(np.random.default_rng(seed), (d_a, d_b))
+        rng = np.random.default_rng(seed)
+        psi, phi = random_orthogonal_pair(rng, (d_a, d_b))
+        # |<phi|psi>| = tilt, which the input gate still accepts.
+        phase = np.exp(2j * np.pi * rng.random())
+        tilted = np.sqrt(1.0 - tilt**2) * phi.amplitudes + tilt * phase * psi.amplitudes
+        phi = StateVector(phi.dims, tilted)
         report = success_probability(psi, phi, synthesize(psi, phi, swap_roles=swap_roles))
         assert report.success_prob >= 1.0 - 1e-9
         # Rounding may lift the sum of outcome masses a few ulps above 1.
         assert report.success_prob <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("theta", [0.3, 0.01])
+    def test_tilted_pair_with_a_light_branch(self, theta):
+        # After the flatten, outcome 1 carries all of psi and 2e-17 of phi on
+        # branches theta apart; a decoder orthogonal to the light phi branch
+        # there scores 0.54, and one along the light psi branch of outcome 0
+        # (the old decoder) scores the same.
+        t = 0.9 * TAU_ORTH
+        chi = np.array([np.cos(theta), np.sin(theta)])
+        psi = np.sqrt(1.0 - t * t) * np.kron([0.0, 1.0], chi) + t * np.kron([1.0, 0.0], [1.0, 0.0])
+        phi = np.kron([1.0, 0.0], [1.0, 0.0])
+        psi, phi = StateVector((2, 2), psi), StateVector((2, 2), phi)
+        for a, b in ((psi, phi), (phi, psi)):
+            assert success_probability(a, b, synthesize(a, b)).success_prob >= 1.0 - 1e-9
