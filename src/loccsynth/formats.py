@@ -58,6 +58,13 @@ def _integer(value: Any, name: str) -> int:
     return value
 
 
+def _required(doc: dict, key: str, where: str = "") -> Any:
+    """``doc[key]``, or a ValueError naming the missing field as ``where + key``."""
+    if key not in doc:
+        raise ValueError(f"protocol file is missing {where}{key}")
+    return doc[key]
+
+
 def _read(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -184,10 +191,10 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
     d_pad = _integer(doc.get("padded_dim_a"), "padded_dim_a")
     d_a = _integer(doc.get("original_dim_a"), "original_dim_a")
     d_b = _integer(doc.get("dim_b"), "dim_b")
-    alice = _unpairs(doc["alice_vectors"], "alice_vectors")
+    alice = _unpairs(_required(doc, "alice_vectors"), "alice_vectors")
     if alice.size != d_pad * d_pad:
         raise ValueError(f"alice_vectors must have {d_pad * d_pad} entries, got {alice.size}")
-    raw_bobs = doc["bob_projectors"]
+    raw_bobs = _required(doc, "bob_projectors")
     if not isinstance(raw_bobs, list) or len(raw_bobs) != d_pad:
         raise ValueError(f"bob_projectors must list {d_pad} outcomes")
     bobs = []
@@ -203,8 +210,8 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
     protocol = Protocol(
         alice_vectors=alice.reshape(d_pad, d_pad),
         bob_projectors=tuple(bobs),
-        outcome_probs_psi=np.asarray(doc["outcome_probs_psi"], dtype=np.float64),
-        outcome_probs_phi=np.asarray(doc["outcome_probs_phi"], dtype=np.float64),
+        outcome_probs_psi=np.asarray(_required(doc, "outcome_probs_psi"), dtype=np.float64),
+        outcome_probs_phi=np.asarray(_required(doc, "outcome_probs_phi"), dtype=np.float64),
         padded_dim_a=d_pad,
         original_dim_a=d_a,
         dim_b=d_b,
@@ -215,7 +222,7 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
     plan = None
     raw_plan = doc.get("truncation")
     if raw_plan is not None:
-        epsilon = float(raw_plan["epsilon"])
+        epsilon = float(_required(raw_plan, "epsilon", "truncation."))
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"truncation epsilon must lie in (0, 1], got {epsilon}")
         kept = raw_plan.get("kept_outcomes")
@@ -225,8 +232,8 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
             kept_outcomes=tuple(_integer(i, f"kept_outcomes[{idx}]") for idx, i in enumerate(kept)),
             epsilon=epsilon,
             bits=_integer(raw_plan.get("bits"), "bits"),
-            retained_prob_psi=float(raw_plan["retained_prob_psi"]),
-            retained_prob_phi=float(raw_plan["retained_prob_phi"]),
+            retained_prob_psi=float(_required(raw_plan, "retained_prob_psi", "truncation.")),
+            retained_prob_phi=float(_required(raw_plan, "retained_prob_phi", "truncation.")),
         )
     return protocol, plan
 

@@ -312,6 +312,30 @@ class TestIntegerFields:
         assert "input_dim must be an integer" in proc.stderr
 
 
+class TestMissingFields:
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ["alice_vectors"],
+            ["bob_projectors"],
+            ["outcome_probs_psi"],
+            ["outcome_probs_phi"],
+            ["truncation", "epsilon"],
+            ["truncation", "retained_prob_psi"],
+            ["truncation", "retained_prob_phi"],
+        ],
+    )
+    def test_protocol_field_exit_1(self, bell_files, tmp_path, keys):
+        # Read unchecked, a missing epsilon made verify print only "error: 'epsilon'".
+        psi_path, phi_path = bell_files
+        out = str(tmp_path / "protocol.json")
+        assert run_cli("synthesize", psi_path, phi_path, "--epsilon", "0.6", "--out", out).returncode == 0
+        _edit_json(out, keys, None)
+        proc = run_cli("verify", psi_path, phi_path, out)
+        assert proc.returncode == 1
+        assert f"protocol file is missing {'.'.join(keys)}" in proc.stderr
+
+
 class TestFlatten:
     def test_sign_matrix(self, tmp_path):
         m_path = str(tmp_path / "m.json")
