@@ -132,7 +132,10 @@ def cmd_flatten(args) -> int:
     residual = verify_flat(matrix, result)
     if args.out:
         formats.save_flattening(args.out, result)
-    bound = TAU_ZERO * (1.0 + float(np.linalg.norm(matrix, ord="fro")))
+    # |M|_F taken on M / max|M_ij|, since squaring entries near 1e155 overflows.
+    top = float(np.max(np.abs(matrix)))
+    fro = top * float(np.linalg.norm(matrix / top)) if top > 0.0 else 0.0
+    bound = TAU_ZERO * (1.0 + fro)
     print(
         f"flattened {result.original_dim} -> {result.padded_dim}: "
         f"residual={residual:.3e} bound={bound:.3e}"

@@ -370,6 +370,15 @@ class TestFlatten:
         proc = run_cli("flatten", m_path)
         assert proc.returncode == 1
 
+    def test_huge_entries_keep_a_finite_bound(self, tmp_path):
+        # |M|_F squared the entries and overflowed, so the check read bound=inf.
+        m_path = str(tmp_path / "m.json")
+        formats.save_matrix(m_path, np.array([[1e160, 2e160], [-1e160, 3e159]], dtype=np.complex128))
+        proc = run_cli("flatten", m_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        bound = float(proc.stdout.split("bound=")[1])
+        assert np.isfinite(bound) and bound <= 1e-10 * 3e160
+
 
 class TestEnvcode:
     def test_dephasing_channel(self, tmp_path):
