@@ -104,7 +104,9 @@ def uflatgen(
 ) -> FlatteningResult:
     """Flatten the diagonal of a d x d matrix, d >= 2.
 
-    M is zero padded to d_pad = 2**ceil(log2 d).  Layer p pairs diagonal
+    M is zero padded to d_pad = 2**ceil(log2 d), the only padding in the
+    package: callers hand over unpadded matrices and read d_pad from the
+    result, whose unitary is d_pad x d_pad.  Layer p pairs diagonal
     positions i and i + 2**p within aligned blocks of width 2**(p + 1) and
     equalizes each pair with :func:`uflat2`; after the last layer every
     diagonal entry of U M_pad U* equals tr(M) / d_pad.  Each layer is a

@@ -31,7 +31,11 @@ class Protocol:
     """One-way two-party discrimination protocol.
 
     ``alice_vectors`` holds the measuring party's orthonormal basis, one
-    vector per row, over the zero-padded first factor.  ``bob_projectors``
+    vector per row, over C^padded_dim_a: the flatten pads the first factor
+    with zero rows up to a power of two, so only the first
+    ``original_dim_a`` columns meet the state, and outcome i leaves the
+    second party with ``conj(alice_vectors[i, :original_dim_a]) @ m`` for
+    the (original_dim_a, dim_b) amplitude matrix m.  ``bob_projectors``
     holds, per outcome, the unit vector whose projector means "guess psi":
     the second party's psi branch where psi is the likelier state, and the
     part of it orthogonal to the phi branch elsewhere.  None means the
@@ -94,9 +98,13 @@ class GuessLeaf:
 class BranchNode:
     """One party's measurement layer inside a multipartite protocol tree.
 
-    ``children[i]`` describes what the remaining parties do after outcome
-    i: another BranchNode, a bipartite Protocol leaf, a GuessLeaf, or None
-    for outcomes that occur with probability zero under both states.
+    ``alice_vectors`` is the measuring basis, one vector per row over
+    C^padded_dim as in :class:`Protocol`: only the first ``original_dim``
+    columns meet the state.  ``children[i]`` describes what the remaining
+    parties do after outcome i: another BranchNode, a bipartite Protocol
+    leaf, a GuessLeaf, or None for outcomes that occur with probability
+    zero under both states.  There is one child per row of
+    ``alice_vectors``; the tree verifier rejects a node without.
     """
 
     alice_vectors: np.ndarray
