@@ -65,7 +65,7 @@ def _outcome_rows(alice_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
     return alice_vectors[:, : m.shape[0]].conj() @ m
 
 
-def _check_measurements(bases: list, decoders: list) -> None:
+def _check_measurements(bases, decoders) -> None:
     """Refuse measurement rows that are not orthonormal and decoders that are not unit vectors.
 
     ``decoders`` may hold None (answer phi), which needs no check; a bad
@@ -85,7 +85,7 @@ def _check_measurements(bases: list, decoders: list) -> None:
             raise ValueError(f"decoder {where[bad[0]]} has norm {norms[bad[0]]!r}, not 1")
 
 
-def _stacks(arrays: list):
+def _stacks(arrays):
     """(positions, stacked arrays) for each shape among the arrays that are not None."""
     groups: dict = {}
     for i, a in enumerate(arrays):
@@ -138,7 +138,7 @@ def success_probability(
         raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
     m_psi = _oriented(psi, protocol)
     m_phi = _oriented(phi, protocol)
-    _check_measurements([protocol.alice_vectors], list(protocol.bob_projectors))
+    _check_measurements([protocol.alice_vectors], protocol.bob_projectors)
     q_psi, q_phi, ok_psi, ok_phi, residual = _outcome_table(m_psi, m_phi, protocol)
 
     if plan is None:
@@ -195,7 +195,7 @@ def sample_run(
         raise ValueError(f"truth must be 'psi' or 'phi', got {truth!r}")
     state.require_normalized()
     m_state = _oriented(state, protocol)
-    _check_measurements([protocol.alice_vectors], list(protocol.bob_projectors))
+    _check_measurements([protocol.alice_vectors], protocol.bob_projectors)
     cond = _outcome_rows(protocol.alice_vectors, m_state)
     q = np.einsum("ij,ij->i", cond.conj(), cond).real
     guess_psi_prob = np.zeros(protocol.padded_dim_a)

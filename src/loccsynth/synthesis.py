@@ -213,18 +213,17 @@ def _synthesize_checked(
     probs_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
     probs_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
 
-    projectors: list[np.ndarray | None] = []
-    for i in range(u.shape[0]):
-        # "psi" is the psi branch, minus the phi branch where phi is at least
-        # as likely.  A tilted pair (|<phi|psi>| up to TAU_ORTH) leaves the two
-        # branches overlapping by M_ii; projecting out the heavier one loses
-        # only |M_ii|^2 / max(p_psi, p_phi).  Parallel branches (always when
-        # d_B = 1) then leave "psi" on the likelier branch only.
-        r = cond_psi[i]
-        if probs_phi[i] >= probs_psi[i] and probs_phi[i] > TAU_ZERO**2:
-            r = r - np.vdot(cond_phi[i], r) / probs_phi[i] * cond_phi[i]
-        n = float(np.linalg.norm(r))
-        projectors.append(r / n if n > TAU_ZERO else None)
+    # "psi" is the psi branch, minus the phi branch where phi is at least as
+    # likely.  A tilted pair (|<phi|psi>| up to TAU_ORTH) leaves the two
+    # branches overlapping by M_ii; projecting out the heavier one loses
+    # only |M_ii|^2 / max(p_psi, p_phi).  Parallel branches (always when
+    # d_B = 1) then leave "psi" on the likelier branch only.
+    heavy = (probs_phi >= probs_psi) & (probs_phi > TAU_ZERO**2)
+    coef = np.zeros(len(probs_phi), dtype=np.complex128)
+    coef[heavy] = np.einsum("ij,ij->i", cond_phi[heavy].conj(), cond_psi[heavy]) / probs_phi[heavy]
+    r = cond_psi - coef[:, None] * cond_phi
+    norms = np.linalg.norm(r, axis=1)
+    projectors = [r[i] / n if n > TAU_ZERO else None for i, n in enumerate(norms)]
 
     return Protocol(
         alice_vectors=u,
