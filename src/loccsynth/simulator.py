@@ -91,31 +91,23 @@ def _stacks(arrays):
     for i, a in enumerate(arrays):
         if a is not None:
             groups.setdefault(a.shape, []).append(i)
-    return [(where, np.stack([arrays[i] for i in where])) for where in groups.values()]
+    return [(where, np.array([arrays[i] for i in where])) for where in groups.values()]
 
 
-def _outcome_table(m_psi: np.ndarray, m_phi: np.ndarray, protocol: Protocol):
-    """Per-outcome probabilities and correct-guess masses for both states."""
-    cond_psi = _outcome_rows(protocol.alice_vectors, m_psi)
-    cond_phi = _outcome_rows(protocol.alice_vectors, m_phi)
+def _outcome_table(cond_psi: np.ndarray, cond_phi: np.ndarray, decoders):
+    """Per-outcome probabilities and correct-guess masses, from the outcome rows of both states."""
     q_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
     q_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
-    ok_psi = np.zeros(protocol.padded_dim_a)
-    ok_phi = np.zeros(protocol.padded_dim_a)
-    residual = 0.0
-    for i, b in enumerate(protocol.bob_projectors):
+    ok_psi = np.zeros(len(q_psi))
+    ok_phi = np.zeros(len(q_phi))
+    for i, b in enumerate(decoders):
         if b is None:
             # Decoder answers phi unconditionally on this outcome.
             ok_phi[i] = q_phi[i]
         else:
-            hit_psi = abs(np.vdot(b, cond_psi[i])) ** 2
-            hit_phi = abs(np.vdot(b, cond_phi[i])) ** 2
-            ok_psi[i] = hit_psi
-            ok_phi[i] = max(q_phi[i] - hit_phi, 0.0)
-        if q_psi[i] > TAU_ZERO**2 and q_phi[i] > TAU_ZERO**2:
-            ov = abs(np.vdot(cond_phi[i], cond_psi[i]))
-            residual = max(residual, ov / np.sqrt(q_psi[i] * q_phi[i]))
-    return q_psi, q_phi, ok_psi, ok_phi, residual
+            ok_psi[i] = abs(np.vdot(b, cond_psi[i])) ** 2
+            ok_phi[i] = max(q_phi[i] - abs(np.vdot(b, cond_phi[i])) ** 2, 0.0)
+    return q_psi, q_phi, ok_psi, ok_phi
 
 
 def success_probability(
@@ -139,7 +131,12 @@ def success_probability(
     m_psi = _oriented(psi, protocol)
     m_phi = _oriented(phi, protocol)
     _check_measurements([protocol.alice_vectors], protocol.bob_projectors)
-    q_psi, q_phi, ok_psi, ok_phi, residual = _outcome_table(m_psi, m_phi, protocol)
+    cond_psi = _outcome_rows(protocol.alice_vectors, m_psi)
+    cond_phi = _outcome_rows(protocol.alice_vectors, m_phi)
+    q_psi, q_phi, ok_psi, ok_phi = _outcome_table(cond_psi, cond_phi, protocol.bob_projectors)
+    both = (q_psi > TAU_ZERO**2) & (q_phi > TAU_ZERO**2)
+    overlaps = np.abs(np.einsum("ij,ij->i", cond_phi[both].conj(), cond_psi[both]))
+    residual = np.max(overlaps / np.sqrt(q_psi[both] * q_phi[both]), initial=0.0)
 
     if plan is None:
         keep = np.ones(protocol.padded_dim_a, dtype=bool)
@@ -254,12 +251,12 @@ def _tree_success(a_psi, a_phi, dims: tuple[int, ...], node, bases: list, decode
         mass_psi = float(np.vdot(a_psi, a_psi).real)
         mass_phi = float(np.vdot(a_phi, a_phi).real)
         return (mass_psi, 0.0) if node.guess == "psi" else (0.0, mass_phi)
-    m_psi = a_psi.reshape(dims[0], -1)
-    m_phi = a_phi.reshape(dims[0], -1)
+    cond_psi = _outcome_rows(node.alice_vectors, a_psi.reshape(dims[0], -1))
+    cond_phi = _outcome_rows(node.alice_vectors, a_phi.reshape(dims[0], -1))
     bases.append(node.alice_vectors)
     if isinstance(node, Protocol):
         decoders.extend(node.bob_projectors)
-        _, _, ok_psi, ok_phi, _ = _outcome_table(m_psi, m_phi, node)
+        _, _, ok_psi, ok_phi = _outcome_table(cond_psi, cond_phi, node.bob_projectors)
         return float(ok_psi.sum()), float(ok_phi.sum())
     # Branch node: condition on each announced outcome and recurse.
     if len(node.children) != len(node.alice_vectors):
@@ -267,8 +264,6 @@ def _tree_success(a_psi, a_phi, dims: tuple[int, ...], node, bases: list, decode
             f"branch node has {len(node.children)} children for "
             f"{len(node.alice_vectors)} outcomes"
         )
-    cond_psi = _outcome_rows(node.alice_vectors, m_psi)
-    cond_phi = _outcome_rows(node.alice_vectors, m_phi)
     total_psi = 0.0
     total_phi = 0.0
     for i, child in enumerate(node.children):

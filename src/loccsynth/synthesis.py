@@ -213,11 +213,11 @@ def _synthesize_checked(
     probs_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
     probs_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
 
-    # "psi" is the psi branch, minus the phi branch where phi is at least as
-    # likely.  A tilted pair (|<phi|psi>| up to TAU_ORTH) leaves the two
-    # branches overlapping by M_ii; projecting out the heavier one loses
-    # only |M_ii|^2 / max(p_psi, p_phi).  Parallel branches (always when
-    # d_B = 1) then leave "psi" on the likelier branch only.
+    # "psi" is the psi branch where psi is the likelier state, else its part
+    # orthogonal to the phi branch.  A tilted pair (|<phi|psi>| up to
+    # TAU_ORTH) leaves the branches overlapping by M_ii, and either choice
+    # then loses |M_ii|^2 / max(p_psi, p_phi).  Parallel branches (always
+    # when d_B = 1) leave "psi" on the likelier branch only.
     heavy = (probs_phi >= probs_psi) & (probs_phi > TAU_ZERO**2)
     coef = np.zeros(len(probs_phi), dtype=np.complex128)
     coef[heavy] = np.einsum("ij,ij->i", cond_phi[heavy].conj(), cond_psi[heavy]) / probs_phi[heavy]
