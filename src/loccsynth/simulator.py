@@ -44,20 +44,24 @@ class VerificationReport:
     kept_mass: tuple[float, float]
 
 
-def _oriented(state: StateVector, protocol: Protocol) -> np.ndarray:
-    """A raw input as a (d_A, d_B) amplitude matrix in the protocol's role order."""
-    if len(state.dims) != 2:
-        raise DimensionMismatchError("expected bipartite states")
-    amps = state.amplitudes.reshape(state.dims)
-    if protocol.swapped:
-        amps = amps.T
-    d_a, d_b = amps.shape
-    if d_a != protocol.original_dim_a or d_b != protocol.dim_b:
-        raise DimensionMismatchError(
-            f"states of dims ({d_a}, {d_b}) do not fit a protocol on "
-            f"({protocol.original_dim_a}, {protocol.dim_b})"
-        )
-    return amps
+def _checked_rows(protocol: Protocol, *states: StateVector) -> list[np.ndarray]:
+    """Outcome rows of each state, once the protocol's measurement passes its check.
+
+    A state is read as a (d_A, d_B) amplitude matrix in the protocol's role
+    order; row i of its result is the second party's unnormalized state
+    after outcome i.  Raises DimensionMismatchError for a state that does
+    not fit the protocol and ValueError for a measurement that fails.
+    """
+    mats = [s.amplitudes.reshape(s.dims) for s in states]
+    mats = [m.T if protocol.swapped else m for m in mats]
+    for m in mats:
+        if m.shape != (protocol.original_dim_a, protocol.dim_b):
+            raise DimensionMismatchError(
+                f"states of dims {m.shape} do not fit a protocol on "
+                f"({protocol.original_dim_a}, {protocol.dim_b})"
+            )
+    _check_measurements([protocol.alice_vectors], protocol.bob_projectors)
+    return [_outcome_rows(protocol.alice_vectors, m) for m in mats]
 
 
 def _outcome_rows(alice_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -128,42 +132,31 @@ def success_probability(
     phi.require_normalized()
     if psi.dims != phi.dims:
         raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
-    m_psi = _oriented(psi, protocol)
-    m_phi = _oriented(phi, protocol)
-    _check_measurements([protocol.alice_vectors], protocol.bob_projectors)
-    cond_psi = _outcome_rows(protocol.alice_vectors, m_psi)
-    cond_phi = _outcome_rows(protocol.alice_vectors, m_phi)
+    cond_psi, cond_phi = _checked_rows(protocol, psi, phi)
     q_psi, q_phi, ok_psi, ok_phi = _outcome_table(cond_psi, cond_phi, protocol.bob_projectors)
     both = (q_psi > TAU_ZERO**2) & (q_phi > TAU_ZERO**2)
     overlaps = np.abs(np.einsum("ij,ij->i", cond_phi[both].conj(), cond_psi[both]))
     residual = np.max(overlaps / np.sqrt(q_psi[both] * q_phi[both]), initial=0.0)
 
-    if plan is None:
-        keep = np.ones(protocol.padded_dim_a, dtype=bool)
-    else:
+    keep = np.ones(len(q_psi), dtype=bool)
+    if plan is not None:
         kept = list(plan.kept_outcomes)
-        if len(set(kept)) != len(kept) or any(not 0 <= i < protocol.padded_dim_a for i in kept):
-            raise ValueError(
-                f"kept outcomes {kept} must be distinct indices below {protocol.padded_dim_a}"
-            )
-        keep = np.zeros(protocol.padded_dim_a, dtype=bool)
+        if len(set(kept)) != len(kept) or any(not 0 <= i < len(keep) for i in kept):
+            raise ValueError(f"kept outcomes {kept} must be distinct indices below {len(keep)}")
+        keep[:] = False
         keep[kept] = True
         ok_psi = np.where(keep, ok_psi, 0.0)
         ok_phi = np.where(keep, ok_phi, 0.0)
 
     success = 0.5 * (float(ok_psi.sum()) + float(ok_phi.sum()))
-    per_outcome = []
-    for i in range(protocol.padded_dim_a):
-        weight = 0.5 * (q_psi[i] + q_phi[i])
-        if weight > 0.0:
-            conditional = 0.5 * (ok_psi[i] + ok_phi[i]) / weight
-        else:
-            conditional = 1.0
-        per_outcome.append((float(weight), float(conditional)))
-
+    weight = 0.5 * (q_psi + q_phi)
+    # An outcome that never occurs counts as conditionally certain.
+    conditional = np.divide(
+        0.5 * (ok_psi + ok_phi), weight, out=np.ones_like(weight), where=weight > 0.0
+    )
     return VerificationReport(
         success_prob=success,
-        per_outcome_success=tuple(per_outcome),
+        per_outcome_success=tuple(zip(weight.tolist(), conditional.tolist())),
         max_orthogonality_residual=float(residual),
         elapsed_s=time.perf_counter() - start,
         tolerances={"tau_zero": TAU_ZERO, "tau_norm": TAU_NORM, "tau_orth": TAU_ORTH},
@@ -191,14 +184,9 @@ def sample_run(
     if truth not in ("psi", "phi"):
         raise ValueError(f"truth must be 'psi' or 'phi', got {truth!r}")
     state.require_normalized()
-    m_state = _oriented(state, protocol)
-    _check_measurements([protocol.alice_vectors], protocol.bob_projectors)
-    cond = _outcome_rows(protocol.alice_vectors, m_state)
-    q = np.einsum("ij,ij->i", cond.conj(), cond).real
-    guess_psi_prob = np.zeros(protocol.padded_dim_a)
-    for i, b in enumerate(protocol.bob_projectors):
-        if b is not None and q[i] > 0.0:
-            guess_psi_prob[i] = abs(np.vdot(b, cond[i])) ** 2 / q[i]
+    (cond,) = _checked_rows(protocol, state)
+    q, _, hit, _ = _outcome_table(cond, cond, protocol.bob_projectors)
+    guess_psi_prob = np.divide(hit, q, out=np.zeros_like(q), where=q > 0.0)
 
     cdf = np.cumsum(q)
     cdf /= cdf[-1]
@@ -206,7 +194,7 @@ def sample_run(
     u_outcome = rng.random(shots)
     u_guess = rng.random(shots)
     idx = np.searchsorted(cdf, u_outcome, side="right")
-    idx = np.minimum(idx, protocol.padded_dim_a - 1)
+    idx = np.minimum(idx, len(q) - 1)
     guessed_psi = u_guess < guess_psi_prob[idx]
     want_psi = truth == "psi"
     return float(np.mean(guessed_psi == want_psi))

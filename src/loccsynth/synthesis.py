@@ -188,9 +188,10 @@ def synthesize(psi: StateVector, phi: StateVector, swap_roles: bool = True) -> P
 def _measure(m_psi: np.ndarray, m_phi: np.ndarray):
     """First-party basis that flattens the overlap of two (d_A, rest) amplitude matrices.
 
-    Returns ``(u, residual, cond_psi, cond_phi)``: the basis as the rows of
-    u, d_pad x d_pad as :func:`uflatgen` pads it, the flatten residual, and
-    the outcome rows, row i the rest's unnormalized state after outcome i.
+    Returns ``(u, residual, cond_psi, cond_phi, probs_psi, probs_phi)``: the
+    basis as the rows of u, d_pad x d_pad as :func:`uflatgen` pads it, the
+    flatten residual, the outcome rows, row i the rest's unnormalized state
+    after outcome i, and the outcome masses, entry i the squared norm of row i.
     """
     d_a = m_psi.shape[0]
     if d_a == 1:
@@ -202,16 +203,18 @@ def _measure(m_psi: np.ndarray, m_phi: np.ndarray):
         u, residual = flat.unitary, flat.residual
     # Padded rows of a state are zero, so conj(u) @ pad(m) = conj(u[:, :d_A]) @ m.
     rows = u[:, :d_a].conj()
-    return u, residual, rows @ m_psi, rows @ m_phi
+    cond_psi = rows @ m_psi
+    cond_phi = rows @ m_phi
+    probs_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
+    probs_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
+    return u, residual, cond_psi, cond_phi, probs_psi, probs_phi
 
 
 def _synthesize_checked(
     m_psi: np.ndarray, m_phi: np.ndarray, swapped: bool, input_overlap: complex
 ) -> Protocol:
     d_a, d_b = m_psi.shape
-    u, flat_residual, cond_psi, cond_phi = _measure(m_psi, m_phi)
-    probs_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
-    probs_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
+    u, flat_residual, cond_psi, cond_phi, probs_psi, probs_phi = _measure(m_psi, m_phi)
 
     # "psi" is the psi branch where psi is the likelier state, else its part
     # orthogonal to the phi branch.  A tilted pair (|<phi|psi>| up to
@@ -393,12 +396,10 @@ def _synthesize_tree(a_psi: np.ndarray, a_phi: np.ndarray, dims: tuple[int, ...]
         # level pair was checked before recursion started.
         ov = complex(np.vdot(a_phi, a_psi))
         return _synthesize_checked(m_psi, m_phi, swapped=False, input_overlap=ov)
-    u, _, cond_psi, cond_phi = _measure(m_psi, m_phi)
+    u, _, cond_psi, cond_phi, probs_psi, probs_phi = _measure(m_psi, m_phi)
 
     children: list = []
-    for i in range(u.shape[0]):
-        n_psi = float(np.linalg.norm(cond_psi[i]))
-        n_phi = float(np.linalg.norm(cond_phi[i]))
+    for i, (n_psi, n_phi) in enumerate(zip(np.sqrt(probs_psi), np.sqrt(probs_phi))):
         if n_psi <= TAU_ZERO and n_phi <= TAU_ZERO:
             children.append(None)
         elif n_psi <= TAU_ZERO:
