@@ -22,6 +22,7 @@ from .linalg import (
     NotNormalizedError,
     StateVector,
     as_complex_array,
+    frozen,
 )
 from .simulator import success_probability
 from .synthesis import Protocol, synthesize
@@ -53,9 +54,7 @@ class KrausChannel:
                     f"kraus[{idx}] has shape {k.shape}, expected "
                     f"({self.output_dim}, {self.input_dim})"
                 )
-            k = k.copy()
-            k.setflags(write=False)
-            ops.append(k)
+            ops.append(frozen(k))
         object.__setattr__(self, "kraus", tuple(ops))
         gram = sum(k.conj().T @ k for k in ops)
         defect = np.linalg.norm(gram - np.eye(self.input_dim), ord="fro")
@@ -82,9 +81,7 @@ class StinespringIsometry:
     env_dim: int
 
     def __post_init__(self):
-        v = as_complex_array(self.v, "isometry").copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", frozen(as_complex_array(self.v, "isometry")))
 
 
 @dataclass(frozen=True)

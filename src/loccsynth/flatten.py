@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_complex_array
+from .linalg import DimensionMismatchError, as_complex_array, frozen
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
@@ -28,6 +28,7 @@ class FlatteningResult:
     ``unitary`` is d_pad x d_pad; ``residual`` is the max deviation of the
     transformed diagonal from tr(M) / d_pad, measured on the incrementally
     updated matrix.  Use :func:`verify_flat` for an independent check.
+    Construction checks the unitary's shape against the dimensions.
     """
 
     unitary: np.ndarray
@@ -36,9 +37,14 @@ class FlatteningResult:
     residual: float
 
     def __post_init__(self):
-        u = as_complex_array(self.unitary, "unitary").copy()
-        u.setflags(write=False)
+        u = frozen(as_complex_array(self.unitary, "unitary"))
         object.__setattr__(self, "unitary", u)
+        n = self.padded_dim
+        if u.shape != (n, n) or not 1 <= self.original_dim <= n:
+            raise DimensionMismatchError(
+                f"unitary of shape {u.shape} does not fit padded_dim {n} "
+                f"and original_dim {self.original_dim}"
+            )
 
 
 def _uflat2_batch(m00, m01, m10, m11):

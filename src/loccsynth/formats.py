@@ -195,18 +195,17 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
     if alice.size != d_pad * d_pad:
         raise ValueError(f"alice_vectors must have {d_pad * d_pad} entries, got {alice.size}")
     raw_bobs = _required(doc, "bob_projectors")
-    if not isinstance(raw_bobs, list) or len(raw_bobs) != d_pad:
-        raise ValueError(f"bob_projectors must list {d_pad} outcomes")
-    bobs = []
-    for idx, raw in enumerate(raw_bobs):
-        if raw is None:
-            bobs.append(None)
-            continue
-        b = _unpairs(raw, f"bob_projectors[{idx}]")
-        if b.size != d_b:
-            raise ValueError(f"bob_projectors[{idx}] must have {d_b} entries, got {b.size}")
-        bobs.append(b)
-    overlap_pair = doc.get("input_overlap", [0.0, 0.0])
+    if not isinstance(raw_bobs, list):
+        raise ValueError("bob_projectors must be a list")
+    bobs = [
+        None if raw is None else _unpairs(raw, f"bob_projectors[{idx}]")
+        for idx, raw in enumerate(raw_bobs)
+    ]
+    swapped = doc.get("swapped", False)
+    if not isinstance(swapped, bool):
+        raise ValueError(f"swapped must be true or false, got {swapped!r}")
+    (overlap,) = _unpairs([doc.get("input_overlap", [0.0, 0.0])], "input_overlap")
+    # The constructor checks the decoders and outcome probabilities against the dimensions.
     protocol = Protocol(
         alice_vectors=alice.reshape(d_pad, d_pad),
         bob_projectors=tuple(bobs),
@@ -215,8 +214,8 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
         padded_dim_a=d_pad,
         original_dim_a=d_a,
         dim_b=d_b,
-        swapped=bool(doc.get("swapped", False)),
-        input_overlap=complex(float(overlap_pair[0]), float(overlap_pair[1])),
+        swapped=swapped,
+        input_overlap=complex(overlap),
         flatten_residual=float(doc.get("flatten_residual", 0.0)),
     )
     plan = None

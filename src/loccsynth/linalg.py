@@ -42,6 +42,13 @@ def as_complex_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def frozen(values, dtype=np.complex128) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype``, for immutable records."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure state on a tensor product of finite-dimensional factors.
@@ -60,12 +67,11 @@ class StateVector:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"factor dimensions must be positive, got {dims}")
-        amps = as_complex_array(self.amplitudes, "amplitudes").reshape(-1).copy()
+        amps = frozen(as_complex_array(self.amplitudes, "amplitudes").reshape(-1))
         if amps.size != math.prod(dims):
             raise DimensionMismatchError(
                 f"expected {math.prod(dims)} amplitudes for dims {dims}, got {amps.size}"
             )
-        amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
 

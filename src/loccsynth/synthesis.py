@@ -23,7 +23,17 @@ from .linalg import (
     DimensionMismatchError,
     NonOrthogonalInputError,
     StateVector,
+    frozen,
 )
+
+
+def _check_basis(basis: np.ndarray, padded: int, original: int, suffix: str = "") -> None:
+    """Refuse a basis that is not padded x padded, or an original dimension outside 1..padded."""
+    if basis.shape != (padded, padded) or not 1 <= original <= padded:
+        raise DimensionMismatchError(
+            f"alice_vectors of shape {basis.shape} do not fit padded_dim{suffix} {padded} "
+            f"and original_dim{suffix} {original}"
+        )
 
 
 @dataclass(frozen=True)
@@ -41,7 +51,8 @@ class Protocol:
     part of it orthogonal to the phi branch elsewhere.  None means the
     decoder answers phi without measuring, where that part vanishes.
     ``swapped`` records that the two input factors were reordered so the
-    smaller one measures first.
+    smaller one measures first.  Construction raises DimensionMismatchError
+    when a dimension field disagrees with the arrays.
     """
 
     alice_vectors: np.ndarray
@@ -56,20 +67,24 @@ class Protocol:
     flatten_residual: float = 0.0
 
     def __post_init__(self):
-        av = np.asarray(self.alice_vectors, dtype=np.complex128).copy()
-        av.setflags(write=False)
-        object.__setattr__(self, "alice_vectors", av)
-        frozen = []
-        for b in self.bob_projectors:
-            if b is not None:
-                b = np.asarray(b, dtype=np.complex128).copy()
-                b.setflags(write=False)
-            frozen.append(b)
-        object.__setattr__(self, "bob_projectors", tuple(frozen))
+        object.__setattr__(self, "alice_vectors", frozen(self.alice_vectors))
+        decoders = tuple(None if b is None else frozen(b) for b in self.bob_projectors)
+        object.__setattr__(self, "bob_projectors", decoders)
+        n = self.padded_dim_a
+        _check_basis(self.alice_vectors, n, self.original_dim_a, "_a")
+        shapes = [b.shape for b in decoders if b is not None]
+        if len(decoders) != n or any(shape != (self.dim_b,) for shape in shapes):
+            raise DimensionMismatchError(
+                f"bob_projectors needs padded_dim_a {n} entries, each None or of dim_b "
+                f"{self.dim_b} entries; got {len(decoders)} with shapes {shapes}"
+            )
         for name in ("outcome_probs_psi", "outcome_probs_phi"):
-            p = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            p.setflags(write=False)
+            p = frozen(getattr(self, name), np.float64)
             object.__setattr__(self, name, p)
+            if p.shape != (n,):
+                raise DimensionMismatchError(
+                    f"{name} has shape {p.shape}, not (padded_dim_a,) = ({n},)"
+                )
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,8 @@ class BranchNode:
     parties do after outcome i: another BranchNode, a bipartite Protocol
     leaf, a GuessLeaf, or None for outcomes that occur with probability
     zero under both states.  There is one child per row of
-    ``alice_vectors``; the tree verifier rejects a node without.
+    ``alice_vectors``; the tree verifier rejects a node without.  Like
+    :class:`Protocol`, construction checks the basis against the dimensions.
     """
 
     alice_vectors: np.ndarray
@@ -113,10 +129,9 @@ class BranchNode:
     children: tuple
 
     def __post_init__(self):
-        av = np.asarray(self.alice_vectors, dtype=np.complex128).copy()
-        av.setflags(write=False)
-        object.__setattr__(self, "alice_vectors", av)
+        object.__setattr__(self, "alice_vectors", frozen(self.alice_vectors))
         object.__setattr__(self, "children", tuple(self.children))
+        _check_basis(self.alice_vectors, self.padded_dim, self.original_dim)
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,49 @@ class TestIntegerFields:
         assert "input_dim must be an integer" in proc.stderr
 
 
+class TestTypedProtocolFields:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("swapped", "false"),
+            ("swapped", "no"),
+            ("swapped", 0),
+            ("swapped", None),
+            ("swapped", [1]),
+            ("input_overlap", 0),
+            ("input_overlap", [1]),
+            ("input_overlap", [1, "x"]),
+            ("input_overlap", None),
+        ],
+    )
+    def test_malformed_field_exit_1(self, bell_files, tmp_path, field, value):
+        # bool(...) read each of these swapped values as a verdict-neutral flag
+        # and verify exited 0; a bad input_overlap failed without naming the field.
+        psi_path, phi_path = bell_files
+        out = tmp_path / "protocol.json"
+        formats.save_protocol(str(out), synthesize(*bell_pair()))
+        doc = json.loads(out.read_text())
+        doc[field] = value
+        out.write_text(json.dumps(doc))
+        proc = run_cli("verify", psi_path, phi_path, str(out))
+        assert proc.returncode == 1
+        assert field in proc.stderr
+
+    def test_original_dim_beyond_basis_exit_1(self, tmp_path):
+        # A Bell protocol edited to original_dim_a 3 used to load, and verify on a
+        # (3, 2) pair then printed only numpy's matmul message.
+        psi, phi = random_orthogonal_pair(np.random.default_rng(702), (3, 2))
+        paths = [str(tmp_path / name) for name in ("psi.json", "phi.json", "protocol.json")]
+        formats.save_state(paths[0], psi)
+        formats.save_state(paths[1], phi)
+        formats.save_protocol(paths[2], synthesize(*bell_pair()))
+        _edit_json(paths[2], ["original_dim_a"], 3)
+        proc = run_cli("verify", *paths)
+        assert proc.returncode == 1
+        assert "original_dim_a 3" in proc.stderr and "padded_dim_a 2" in proc.stderr
+        assert "matmul" not in proc.stderr
+
+
 class TestMissingFields:
     @pytest.mark.parametrize(
         "keys",

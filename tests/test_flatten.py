@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_unitary
 from loccsynth import (
     TAU_ZERO,
     DimensionMismatchError,
@@ -228,6 +229,28 @@ class TestUflatgen:
         m = np.diag([1.0, -1.0]).astype(np.complex128)
         fake = FlatteningResult(unitary=np.eye(2), padded_dim=2, original_dim=2, residual=0.0)
         assert verify_flat(m, fake) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d", [3, 5, 33, 100])
+    def test_verify_flat_matches_dense_conjugation(self, d):
+        # Reference: the diagonal of U M_pad U* from two dense products on the
+        # zero-padded matrix, for a flattening and for a random unitary, whose
+        # residual is far from zero and so shows any column the checker skips.
+        rng = np.random.default_rng(900 + d)
+        m = random_square(rng, d)
+        flat = uflatgen(m)
+        n = flat.padded_dim
+        padded = np.zeros((n, n), dtype=np.complex128)
+        padded[:d, :d] = m
+        haar = FlatteningResult(random_unitary(rng, n), padded_dim=n, original_dim=d, residual=0.0)
+        for result in (flat, haar):
+            u = result.unitary
+            want = np.max(np.abs(np.diagonal(u @ padded @ u.conj().T) - np.trace(m) / n))
+            assert abs(verify_flat(m, result) - want) <= 1e-12 * (1 + np.linalg.norm(m))
+
+    @pytest.mark.parametrize("padded_dim, original_dim", [(4, 2), (2, 3), (2, 0)])
+    def test_result_checks_its_dimensions(self, padded_dim, original_dim):
+        with pytest.raises(DimensionMismatchError):
+            FlatteningResult(np.eye(2), padded_dim, original_dim, residual=0.0)
 
     def test_verify_flat_dimension_check(self):
         result = uflatgen(np.eye(2))

@@ -315,6 +315,45 @@ class TestEpsilonTruncate:
                 epsilon_truncate(protocol, eps)
 
 
+class TestDimensionFields:
+    """Protocol types refuse dimension fields that disagree with their arrays."""
+
+    E0 = np.array([1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # Unchecked, this one raised IndexError inside success_probability.
+            (
+                {"padded_dim_a": 3, "bob_projectors": (E0,) * 3, "outcome_probs_psi": [0.5] * 3},
+                "padded_dim_a 3",
+            ),
+            ({"original_dim_a": 3}, "original_dim_a 3"),
+            ({"original_dim_a": 0}, "original_dim_a 0"),
+            ({"bob_projectors": (E0,)}, "bob_projectors"),
+            ({"bob_projectors": (E0, np.ones(3))}, "bob_projectors"),
+            ({"outcome_probs_phi": [1.0]}, "outcome_probs_phi"),
+        ],
+    )
+    def test_protocol_rejects(self, fields, message):
+        coin = {
+            "alice_vectors": np.eye(2),
+            "bob_projectors": (self.E0, None),
+            "outcome_probs_psi": [0.5, 0.5],
+            "outcome_probs_phi": [0.5, 0.5],
+            "padded_dim_a": 2,
+            "original_dim_a": 2,
+            "dim_b": 2,
+        }
+        with pytest.raises(DimensionMismatchError, match=message):
+            Protocol(**{**coin, **fields})
+
+    @pytest.mark.parametrize("padded_dim, original_dim", [(4, 2), (2, 3)])
+    def test_branch_node_rejects(self, padded_dim, original_dim):
+        with pytest.raises(DimensionMismatchError):
+            BranchNode(np.eye(2), padded_dim, original_dim, children=(None, None))
+
+
 class TestMultipartite:
     def test_ghz_pair(self):
         ghz_plus = StateVector((2, 2, 2), np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
