@@ -22,3 +22,14 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_no_source_line_is_longer_than_100_characters():
+    # Keeps a net line count from being won by packing expressions onto one line.
+    long_lines = [
+        f"{path.name}:{number} ({len(line)} characters)"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > 100
+    ]
+    assert long_lines == []
