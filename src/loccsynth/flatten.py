@@ -108,65 +108,84 @@ def _mix_pairs(a: np.ndarray, b: np.ndarray, c00, c01, c10, c11) -> None:
 def uflatgen(
     m: np.ndarray, on_layer: Callable[[int, np.ndarray], None] | None = None
 ) -> FlatteningResult:
-    """Flatten the diagonal of a d x d matrix, d >= 2.
+    """Flatten the diagonal of a d x d matrix, d >= 2, as a stack of one for :func:`uflatgen_stack`.
 
-    M is zero padded to d_pad = 2**ceil(log2 d), the only padding in the
-    package: callers hand over unpadded matrices and read d_pad from the
-    result, whose unitary is d_pad x d_pad.  Layer p pairs diagonal
-    positions i and i + 2**p within aligned blocks of width 2**(p + 1) and
-    equalizes each pair with :func:`uflat2`; after the last layer every
-    diagonal entry of U M_pad U* equals tr(M) / d_pad.  Each layer is a
-    direct sum of 2x2 rotations on disjoint index pairs, so it is applied
-    to the paired rows and columns in place, O(d_pad^2) per layer.
-    ``on_layer`` is called with (p, current matrix) after each layer, for
+    M is zero padded there to d_pad = 2**ceil(log2 d), the only padding in
+    the package: callers hand over unpadded matrices and read d_pad from
+    the result, whose unitary is d_pad x d_pad.  ``on_layer``
+    is called with (p, current matrix) after each layer, for
     instrumentation; the matrix is the live working array, which later
     layers overwrite, so a callback that keeps it must copy it.
     """
-    m = as_complex_array(m, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"uflatgen expects a square matrix, got {m.shape}")
-    d = m.shape[0]
+    m = np.asarray(m, dtype=np.complex128)
+    hook = None if on_layer is None else lambda p, cur: on_layer(p, cur[0])
+    (u,), (residual,) = uflatgen_stack(m[None], hook)
+    return FlatteningResult(u, len(u), len(m), float(residual))
+
+
+def uflatgen_stack(
+    ms: np.ndarray, on_layer: Callable[[int, np.ndarray], None] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the diagonal of each matrix in a (B, d, d) stack, d >= 2, in one layer loop.
+
+    Returns ``(unitaries, residuals)``: the (B, d_pad, d_pad) unitaries and
+    each one's max deviation of the transformed diagonal from tr(M) / d_pad.
+    Each matrix is zero padded to d_pad = 2**ceil(log2 d).  Layer p pairs
+    diagonal positions i and i + 2**p within aligned blocks of width
+    2**(p + 1) and equalizes each pair with :func:`uflat2`; after the last
+    layer every diagonal entry of U M_pad U* equals tr(M) / d_pad.  Each
+    layer is a direct sum of 2x2 rotations on disjoint index pairs, so it is
+    applied to the paired rows and columns in place, O(d_pad^2) per layer
+    and matrix, every matrix of the stack at once.  ``on_layer`` is called
+    with (p, current (B, d_pad, d_pad) stack) after each layer.
+    """
+    ms = as_complex_array(ms, "matrices")
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+        raise DimensionMismatchError(f"uflatgen expects square matrices, got shape {ms.shape}")
+    b, d = ms.shape[:2]
     if d < 2:
         raise DimensionMismatchError("uflatgen needs dimension >= 2")
 
     k = (d - 1).bit_length()
     n = 1 << k
-    cur = np.zeros((n, n), dtype=np.complex128)
-    cur[:d, :d] = m
-    target = np.trace(m) / n
+    cur = np.zeros((b, n, n), dtype=np.complex128)
+    cur[:, :d, :d] = ms
+    target = np.trace(ms, axis1=1, axis2=2) / n
 
-    # Before layer p the accumulated unitary is block diagonal with blocks
-    # of width 2**p, so only those blocks are stored: (n >> p, 2**p, 2**p).
-    blocks = np.ones((n, 1, 1), dtype=np.complex128)
+    # Before layer p each accumulated unitary is block diagonal with blocks
+    # of width 2**p, so only those blocks are stored: (B, n >> p, 2**p, 2**p).
+    blocks = np.ones((b, n, 1, 1), dtype=np.complex128)
     for p in range(k):
         step = 1 << p
         pairs = n >> (p + 1)
         base = np.arange(pairs) << (p + 1)
         ii = (base[:, None] + np.arange(step)[None, :]).reshape(-1)
         jj = ii + step
-        u0, u1, v0, v1 = _uflat2_batch(cur[ii, ii], cur[ii, jj], cur[jj, ii], cur[jj, jj])
+        u0, u1, v0, v1 = _uflat2_batch(
+            cur[:, ii, ii], cur[:, ii, jj], cur[:, jj, ii], cur[:, jj, jj]
+        )
         # cur <- L* cur L, where L has columns u0 e_i + u1 e_j and v0 e_i + v1 e_j
         # on each pair (i, j): mix the paired columns, then the paired rows.
-        cols = cur.reshape(n, pairs, 2, step)
-        c = [x.reshape(pairs, step) for x in (u0, u1, v0, v1)]
-        _mix_pairs(cols[:, :, 0], cols[:, :, 1], *c)
-        rows = cur.reshape(pairs, 2, step, n)
-        r = [x.conj().reshape(pairs, step, 1) for x in (u0, u1, v0, v1)]
-        _mix_pairs(rows[:, 0], rows[:, 1], *r)
+        cols = cur.reshape(b, n, pairs, 2, step)
+        c = [x.reshape(b, 1, pairs, step) for x in (u0, u1, v0, v1)]
+        _mix_pairs(cols[:, :, :, 0], cols[:, :, :, 1], *c)
+        rows = cur.reshape(b, pairs, 2, step, n)
+        r = [x.conj().reshape(b, pairs, step, 1) for x in (u0, u1, v0, v1)]
+        _mix_pairs(rows[:, :, 0], rows[:, :, 1], *r)
         # U <- L* U: row i of the merged block is conj(u0) row i of the left
         # block beside conj(u1) row j of the right one, row j likewise with v.
-        halves = blocks.reshape(pairs, 2, step, step)
-        merged = np.empty((pairs, 2 * step, 2 * step), dtype=np.complex128)
-        merged[:, :step, :step] = r[0] * halves[:, 0]
-        merged[:, :step, step:] = r[1] * halves[:, 1]
-        merged[:, step:, :step] = r[2] * halves[:, 0]
-        merged[:, step:, step:] = r[3] * halves[:, 1]
+        halves = blocks.reshape(b, pairs, 2, step, step)
+        merged = np.empty((b, pairs, 2 * step, 2 * step), dtype=np.complex128)
+        merged[:, :, :step, :step] = r[0] * halves[:, :, 0]
+        merged[:, :, :step, step:] = r[1] * halves[:, :, 1]
+        merged[:, :, step:, :step] = r[2] * halves[:, :, 0]
+        merged[:, :, step:, step:] = r[3] * halves[:, :, 1]
         blocks = merged
         if on_layer is not None:
             on_layer(p, cur)
 
-    residual = float(np.max(np.abs(np.diagonal(cur) - target)))
-    return FlatteningResult(unitary=blocks[0], padded_dim=n, original_dim=d, residual=residual)
+    deviation = np.abs(np.diagonal(cur, axis1=1, axis2=2) - target[:, None])
+    return blocks[:, 0], np.max(deviation, axis=1)
 
 
 def verify_flat(m: np.ndarray, result: FlatteningResult) -> float:

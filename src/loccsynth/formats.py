@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any
 
 import numpy as np
@@ -56,6 +57,22 @@ def _integer(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _number(value: Any, name: str) -> float:
+    """``value`` if it is a finite JSON number; booleans, strings and null are refused."""
+    number = not isinstance(value, bool) and isinstance(value, (int, float))
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    """The required list ``doc[key]``, each entry read by :func:`_number`."""
+    raw = _required(doc, key)
+    if not isinstance(raw, list):
+        raise ValueError(f"{key} must be a list of numbers, got {raw!r}")
+    return np.array([_number(x, f"{key}[{idx}]") for idx, x in enumerate(raw)], dtype=np.float64)
 
 
 def _required(doc: dict, key: str, where: str = "") -> Any:
@@ -209,19 +226,22 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
     protocol = Protocol(
         alice_vectors=alice.reshape(d_pad, d_pad),
         bob_projectors=tuple(bobs),
-        outcome_probs_psi=np.asarray(_required(doc, "outcome_probs_psi"), dtype=np.float64),
-        outcome_probs_phi=np.asarray(_required(doc, "outcome_probs_phi"), dtype=np.float64),
+        outcome_probs_psi=_numbers(doc, "outcome_probs_psi"),
+        outcome_probs_phi=_numbers(doc, "outcome_probs_phi"),
         padded_dim_a=d_pad,
         original_dim_a=d_a,
         dim_b=d_b,
         swapped=swapped,
         input_overlap=complex(overlap),
-        flatten_residual=float(doc.get("flatten_residual", 0.0)),
+        flatten_residual=_number(doc.get("flatten_residual", 0.0), "flatten_residual"),
     )
     plan = None
     raw_plan = doc.get("truncation")
     if raw_plan is not None:
-        epsilon = float(_required(raw_plan, "epsilon", "truncation."))
+        epsilon, retained_psi, retained_phi = (
+            _number(_required(raw_plan, key, "truncation."), f"truncation.{key}")
+            for key in ("epsilon", "retained_prob_psi", "retained_prob_phi")
+        )
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"truncation epsilon must lie in (0, 1], got {epsilon}")
         kept = raw_plan.get("kept_outcomes")
@@ -231,8 +251,8 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
             kept_outcomes=tuple(_integer(i, f"kept_outcomes[{idx}]") for idx, i in enumerate(kept)),
             epsilon=epsilon,
             bits=_integer(raw_plan.get("bits"), "bits"),
-            retained_prob_psi=float(_required(raw_plan, "retained_prob_psi", "truncation.")),
-            retained_prob_phi=float(_required(raw_plan, "retained_prob_phi", "truncation.")),
+            retained_prob_psi=retained_psi,
+            retained_prob_phi=retained_phi,
         )
     return protocol, plan
 

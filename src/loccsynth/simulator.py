@@ -66,7 +66,7 @@ def _checked_rows(protocol: Protocol, *states: StateVector) -> list[np.ndarray]:
 
 def _outcome_rows(alice_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Row i: the rest's state after outcome i; padding columns would meet zero rows of m."""
-    return alice_vectors[:, : m.shape[0]].conj() @ m
+    return alice_vectors[..., : m.shape[-2]].conj() @ m
 
 
 def _check_measurements(bases, decoders) -> None:
@@ -99,18 +99,20 @@ def _stacks(arrays):
 
 
 def _outcome_table(cond_psi: np.ndarray, cond_phi: np.ndarray, decoders):
-    """Per-outcome probabilities and correct-guess masses, from the outcome rows of both states."""
-    q_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
-    q_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
-    ok_psi = np.zeros(len(q_psi))
-    ok_phi = np.zeros(len(q_phi))
-    for i, b in enumerate(decoders):
-        if b is None:
-            # Decoder answers phi unconditionally on this outcome.
-            ok_phi[i] = q_phi[i]
-        else:
-            ok_psi[i] = abs(np.vdot(b, cond_psi[i])) ** 2
-            ok_phi[i] = max(q_phi[i] - abs(np.vdot(b, cond_phi[i])) ** 2, 0.0)
+    """Per-outcome probabilities and correct-guess masses, from the outcome rows of both states.
+
+    The rows may be (n, d_B) or a (B, n, d_B) stack, with ``decoders`` in
+    the same order as the rows; every result has the rows' leading shape.
+    """
+    q_psi = np.einsum("...ij,...ij->...i", cond_psi.conj(), cond_psi).real
+    q_phi = np.einsum("...ij,...ij->...i", cond_phi.conj(), cond_phi).real
+    # None answers phi unconditionally; a zero vector in its place never answers psi.
+    zero = np.zeros(cond_psi.shape[-1], dtype=np.complex128)
+    b = np.array([zero if v is None else v for v in decoders]).reshape(cond_psi.shape).conj()
+    measured = np.array([v is not None for v in decoders]).reshape(q_psi.shape)
+    ok_psi = np.abs(np.einsum("...ij,...ij->...i", b, cond_psi)) ** 2
+    hit_phi = np.abs(np.einsum("...ij,...ij->...i", b, cond_phi)) ** 2
+    ok_phi = np.where(measured, np.maximum(q_phi - hit_phi, 0.0), q_phi)
     return q_psi, q_phi, ok_psi, ok_phi
 
 
@@ -203,11 +205,16 @@ def sample_run(
 def multipartite_success_probability(
     psi: StateVector, phi: StateVector, protocol: MultipartiteProtocol
 ) -> float:
-    """Exact success probability of a protocol tree, by full enumeration.
+    """Exact success probability of a protocol tree, by full enumeration, level by level.
 
-    Raises ValueError when the measurement rows of some node are not
-    orthonormal, a leaf decoder is not a unit vector, or a branch node
-    does not have one child per outcome.
+    The conditional pairs of a level are stacked, and the outcome rows of
+    every measuring node with one basis shape come from one product.
+    Raises ValueError when a node does not fit the factors dims[k:] left at
+    its depth k, the measurement rows of some node are not orthonormal, or
+    a leaf decoder is not a unit vector.  A BranchNode measures dims[k],
+    with one child per outcome; a Protocol leaf measures exactly the last
+    two factors, unswapped; below the last factor only a GuessLeaf or None
+    fits.  Elsewhere a node would measure the wrong parties, or two at once.
     """
     if psi.dims != phi.dims:
         raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
@@ -217,45 +224,51 @@ def multipartite_success_probability(
         )
     psi.require_normalized()
     phi.require_normalized()
+    nodes = [protocol.root]
+    # pairs[:, j] is the unnormalized (psi, phi) conditional pair that nodes[j] receives.
+    pairs = np.stack([psi.amplitudes, phi.amplitudes])[:, None]
+    ok = np.zeros(2)
     bases: list = []
     decoders: list = []
-    ok_psi, ok_phi = _tree_success(
-        psi.amplitudes, phi.amplitudes, protocol.dims, protocol.root, bases, decoders
-    )
+    for depth in range(len(protocol.dims) + 1):
+        factors = protocol.dims[depth:]
+        for node in nodes:
+            _check_placement(node, factors, depth)
+        mass = np.einsum("sbi,sbi->sb", pairs.conj(), pairs).real
+        ok[0] += mass[0, [isinstance(n, GuessLeaf) and n.guess == "psi" for n in nodes]].sum()
+        ok[1] += mass[1, [isinstance(n, GuessLeaf) and n.guess != "psi" for n in nodes]].sum()
+        children: list = []
+        rows: list = []
+        for where, u in _stacks([getattr(node, "alice_vectors", None) for node in nodes]):
+            bases.extend(u)
+            group = [nodes[j] for j in where]
+            cond = _outcome_rows(u, pairs[:, where].reshape(2, len(where), factors[0], -1))
+            leaf = np.array([isinstance(node, Protocol) for node in group])
+            found = [b for node in group if isinstance(node, Protocol) for b in node.bob_projectors]
+            decoders.extend(found)
+            _, _, hit_psi, hit_phi = _outcome_table(cond[0, leaf], cond[1, leaf], found)
+            ok += hit_psi.sum(), hit_phi.sum()
+            children.extend(c for n in group if isinstance(n, BranchNode) for c in n.children)
+            rows.append(cond[:, ~leaf].reshape(2, -1, cond.shape[-1]))
+        if not children:
+            break
+        nodes, pairs = children, np.concatenate(rows, axis=1)
     # One check per array shape over every node costs far less than one per node.
     _check_measurements(bases, decoders)
-    return 0.5 * (ok_psi + ok_phi)
+    return 0.5 * float(ok.sum())
 
 
-def _tree_success(a_psi, a_phi, dims: tuple[int, ...], node, bases: list, decoders: list):
-    """Correct-guess masses of a subtree on unnormalized conditional pairs.
-
-    Appends the measurement rows and decoders of every node it visits to
-    ``bases`` and ``decoders``, for one check after the walk.
-    """
-    if node is None:
-        return 0.0, 0.0
-    if isinstance(node, GuessLeaf):
-        mass_psi = float(np.vdot(a_psi, a_psi).real)
-        mass_phi = float(np.vdot(a_phi, a_phi).real)
-        return (mass_psi, 0.0) if node.guess == "psi" else (0.0, mass_phi)
-    cond_psi = _outcome_rows(node.alice_vectors, a_psi.reshape(dims[0], -1))
-    cond_phi = _outcome_rows(node.alice_vectors, a_phi.reshape(dims[0], -1))
-    bases.append(node.alice_vectors)
-    if isinstance(node, Protocol):
-        decoders.extend(node.bob_projectors)
-        _, _, ok_psi, ok_phi = _outcome_table(cond_psi, cond_phi, node.bob_projectors)
-        return float(ok_psi.sum()), float(ok_phi.sum())
-    # Branch node: condition on each announced outcome and recurse.
-    if len(node.children) != len(node.alice_vectors):
-        raise ValueError(
-            f"branch node has {len(node.children)} children for "
-            f"{len(node.alice_vectors)} outcomes"
-        )
-    total_psi = 0.0
-    total_phi = 0.0
-    for i, child in enumerate(node.children):
-        s_psi, s_phi = _tree_success(cond_psi[i], cond_phi[i], dims[1:], child, bases, decoders)
-        total_psi += s_psi
-        total_phi += s_phi
-    return total_psi, total_phi
+def _check_placement(node, factors: tuple[int, ...], depth: int) -> None:
+    """Refuse a node that does not fit the factors left at its depth; the tree walk says how."""
+    if node is None or isinstance(node, GuessLeaf):
+        return
+    if isinstance(node, BranchNode) and factors[:1] == (node.original_dim,):
+        if len(node.children) != len(node.alice_vectors):
+            raise ValueError(
+                f"branch node at depth {depth} has {len(node.children)} children for "
+                f"{len(node.alice_vectors)} outcomes"
+            )
+    elif not isinstance(node, Protocol) or node.swapped or (
+        (node.original_dim_a, node.dim_b) != factors
+    ):
+        raise ValueError(f"{type(node).__name__} at depth {depth} does not fit factors {factors}")

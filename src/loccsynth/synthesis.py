@@ -12,11 +12,12 @@ outcome, so the final guess is never wrong.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flatten import uflatgen
+from .flatten import uflatgen_stack
 from .linalg import (
     TAU_ORTH,
     TAU_ZERO,
@@ -161,8 +162,8 @@ def overlap_matrix(psi: StateVector, phi: StateVector) -> np.ndarray:
 
 
 def _overlap(m_psi: np.ndarray, m_phi: np.ndarray) -> np.ndarray:
-    """M = conj(m_phi) @ m_psi^T for (d_A, rest) amplitude matrices."""
-    return m_phi.conj() @ m_psi.T
+    """M = conj(m_phi) @ m_psi^T for (d_A, rest) amplitude matrices, or stacks of them."""
+    return m_phi.conj() @ m_psi.swapaxes(-1, -2)
 
 
 def _check_pair(psi: StateVector, phi: StateVector) -> complex:
@@ -191,45 +192,40 @@ def synthesize(psi: StateVector, phi: StateVector, swap_roles: bool = True) -> P
             "use synthesize_multipartite for three or more factors"
         )
     ov = _check_pair(psi, phi)
-    m_psi = psi.amplitudes.reshape(psi.dims)
-    m_phi = phi.amplitudes.reshape(phi.dims)
+    # One pair of (d_A, d_B) amplitude matrices, stacked as (2, 1, d_A, d_B).
+    m = np.stack([psi.amplitudes, phi.amplitudes]).reshape(2, 1, *psi.dims)
     d_a, d_b = psi.dims
     swapped = swap_roles and d_a > d_b
-    if swapped:
-        m_psi, m_phi = m_psi.T, m_phi.T
-    return _synthesize_checked(m_psi, m_phi, swapped=swapped, input_overlap=ov)
+    return _protocols(m.swapaxes(2, 3) if swapped else m, [ov], swapped=swapped)[0]
 
 
-def _measure(m_psi: np.ndarray, m_phi: np.ndarray):
-    """First-party basis that flattens the overlap of two (d_A, rest) amplitude matrices.
+def _measure(m: np.ndarray):
+    """First-party bases that flatten the overlaps of a stack of amplitude pairs.
 
-    Returns ``(u, residual, cond_psi, cond_phi, probs_psi, probs_phi)``: the
-    basis as the rows of u, d_pad x d_pad as :func:`uflatgen` pads it, the
-    flatten residual, the outcome rows, row i the rest's unnormalized state
-    after outcome i, and the outcome masses, entry i the squared norm of row i.
+    ``m`` is (2, B, d_A, rest): the psi and the phi amplitude matrix of each
+    of B pairs.  Returns ``(u, residuals, cond, probs)``: the bases as the
+    rows of u, (B, d_pad, d_pad) as :func:`uflatgen_stack` pads them, the
+    flatten residuals, the outcome rows, row i of cond[s, b] the rest's
+    unnormalized state after outcome i, and the outcome masses, the squared
+    norms of those rows.
     """
-    d_a = m_psi.shape[0]
+    b, d_a = m.shape[1:3]
     if d_a == 1:
         # A single outcome: the measuring party is trivial and the second
         # party discriminates the (orthogonal) states on its own.
-        u, residual = np.eye(1, dtype=np.complex128), 0.0
+        u, residuals = np.ones((b, 1, 1), dtype=np.complex128), np.zeros(b)
     else:
-        flat = uflatgen(_overlap(m_psi, m_phi))
-        u, residual = flat.unitary, flat.residual
+        u, residuals = uflatgen_stack(_overlap(m[0], m[1]))
     # Padded rows of a state are zero, so conj(u) @ pad(m) = conj(u[:, :d_A]) @ m.
-    rows = u[:, :d_a].conj()
-    cond_psi = rows @ m_psi
-    cond_phi = rows @ m_phi
-    probs_psi = np.einsum("ij,ij->i", cond_psi.conj(), cond_psi).real
-    probs_phi = np.einsum("ij,ij->i", cond_phi.conj(), cond_phi).real
-    return u, residual, cond_psi, cond_phi, probs_psi, probs_phi
+    cond = u[:, :, :d_a].conj() @ m
+    probs = np.einsum("...ij,...ij->...i", cond.conj(), cond).real
+    return u, residuals, cond, probs
 
 
-def _synthesize_checked(
-    m_psi: np.ndarray, m_phi: np.ndarray, swapped: bool, input_overlap: complex
-) -> Protocol:
-    d_a, d_b = m_psi.shape
-    u, flat_residual, cond_psi, cond_phi, probs_psi, probs_phi = _measure(m_psi, m_phi)
+def _protocols(m: np.ndarray, overlaps, swapped: bool = False) -> list[Protocol]:
+    """One protocol per pair of a (2, B, d_A, d_B) stack of amplitude matrices."""
+    d_a, d_b = m.shape[2:]
+    u, residuals, (cond_psi, cond_phi), (probs_psi, probs_phi) = _measure(m)
 
     # "psi" is the psi branch where psi is the likelier state, else its part
     # orthogonal to the phi branch.  A tilted pair (|<phi|psi>| up to
@@ -237,24 +233,27 @@ def _synthesize_checked(
     # then loses |M_ii|^2 / max(p_psi, p_phi).  Parallel branches (always
     # when d_B = 1) leave "psi" on the likelier branch only.
     heavy = (probs_phi >= probs_psi) & (probs_phi > TAU_ZERO**2)
-    coef = np.zeros(len(probs_phi), dtype=np.complex128)
+    coef = np.zeros(probs_phi.shape, dtype=np.complex128)
     coef[heavy] = np.einsum("ij,ij->i", cond_phi[heavy].conj(), cond_psi[heavy]) / probs_phi[heavy]
-    r = cond_psi - coef[:, None] * cond_phi
-    norms = np.linalg.norm(r, axis=1)
-    projectors = [r[i] / n if n > TAU_ZERO else None for i, n in enumerate(norms)]
-
-    return Protocol(
-        alice_vectors=u,
-        bob_projectors=tuple(projectors),
-        outcome_probs_psi=probs_psi,
-        outcome_probs_phi=probs_phi,
-        padded_dim_a=u.shape[0],
-        original_dim_a=d_a,
-        dim_b=d_b,
-        swapped=swapped,
-        input_overlap=input_overlap,
-        flatten_residual=flat_residual,
-    )
+    r = cond_psi - coef[..., None] * cond_phi
+    norms = np.linalg.norm(r, axis=-1)
+    kept = norms > TAU_ZERO
+    r[kept] /= norms[kept][:, None]
+    return [
+        Protocol(
+            alice_vectors=u[k],
+            bob_projectors=tuple(r[k, i] if kept[k, i] else None for i in range(u.shape[1])),
+            outcome_probs_psi=probs_psi[k],
+            outcome_probs_phi=probs_phi[k],
+            padded_dim_a=u.shape[1],
+            original_dim_a=d_a,
+            dim_b=d_b,
+            swapped=swapped,
+            input_overlap=overlaps[k],
+            flatten_residual=float(residuals[k]),
+        )
+        for k in range(len(u))
+    ]
 
 
 def epsilon_truncate(protocol: Protocol, epsilon: float) -> TruncatedMessagePlan:
@@ -403,29 +402,37 @@ def synthesize_multipartite(psi: StateVector, phi: StateVector) -> MultipartiteP
 
 
 def _synthesize_tree(a_psi: np.ndarray, a_phi: np.ndarray, dims: tuple[int, ...]):
-    """Subtree for a normalized pair of flat amplitude arrays over ``dims``."""
-    m_psi = a_psi.reshape(dims[0], -1)
-    m_phi = a_phi.reshape(dims[0], -1)
-    if len(dims) == 2:
-        # Orthogonality holds by construction on recursive calls; the top
-        # level pair was checked before recursion started.
-        ov = complex(np.vdot(a_phi, a_psi))
-        return _synthesize_checked(m_psi, m_phi, swapped=False, input_overlap=ov)
-    u, _, cond_psi, cond_phi, probs_psi, probs_phi = _measure(m_psi, m_phi)
+    """Tree for a normalized pair of flat amplitude arrays over ``dims``, built level by level.
 
-    children: list = []
-    for i, (n_psi, n_phi) in enumerate(zip(np.sqrt(probs_psi), np.sqrt(probs_phi))):
-        if n_psi <= TAU_ZERO and n_phi <= TAU_ZERO:
-            children.append(None)
-        elif n_psi <= TAU_ZERO:
-            children.append(GuessLeaf("phi"))
-        elif n_phi <= TAU_ZERO:
-            children.append(GuessLeaf("psi"))
-        else:
-            children.append(_synthesize_tree(cond_psi[i] / n_psi, cond_phi[i] / n_phi, dims[1:]))
-    return BranchNode(
-        alice_vectors=u,
-        padded_dim=u.shape[0],
-        original_dim=dims[0],
-        children=tuple(children),
-    )
+    The B live nodes at depth k hold normalized pairs over dims[k:], so one
+    (2, B, dims[k], rest) stack and one :func:`_measure` serve the level.
+    Its live outcome rows, normalized, in node then outcome order, are the
+    next level's stack; the last two factors make the Protocol leaves, and
+    the BranchNodes are built bottom-up.
+    """
+    pairs = np.stack([a_psi, a_phi])[:, None]
+    # Children by kind: 0 dead, 1 only psi lives (guess psi), 2 only phi lives, 3 both live.
+    guesses = (None, GuessLeaf("psi"), GuessLeaf("phi"))
+    levels = []
+    for k, d in enumerate(dims[:-2]):
+        u, _, cond, probs = _measure(pairs.reshape(2, pairs.shape[1], d, math.prod(dims[k + 1 :])))
+        norms = np.sqrt(probs)
+        kinds = (norms[0] > TAU_ZERO) + 2 * (norms[1] > TAU_ZERO)
+        levels.append((u, kinds))
+        pairs = cond[:, kinds == 3] / norms[:, kinds == 3, None]
+    # Orthogonality holds by construction below the root; the input pair
+    # was checked before the tree was started.
+    overlaps = [complex(np.vdot(b, a)) for a, b in zip(*pairs)]
+    nodes = _protocols(pairs.reshape(2, len(overlaps), *dims[-2:]), overlaps)
+    for d, (u, kinds) in zip(reversed(dims[:-2]), reversed(levels)):
+        below = iter(nodes)
+        nodes = [
+            BranchNode(
+                alice_vectors=u[k],
+                padded_dim=u.shape[1],
+                original_dim=d,
+                children=tuple(next(below) if kind == 3 else guesses[kind] for kind in row),
+            )
+            for k, row in enumerate(kinds)
+        ]
+    return nodes[0]

@@ -340,6 +340,29 @@ class TestTypedProtocolFields:
         assert proc.returncode == 1
         assert field in proc.stderr
 
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            (["truncation", "epsilon"], True, "truncation.epsilon"),
+            (["truncation", "epsilon"], "0.6", "truncation.epsilon"),
+            (["truncation", "retained_prob_psi"], "abc", "truncation.retained_prob_psi"),
+            (["flatten_residual"], True, "flatten_residual"),
+            (["outcome_probs_psi"], ["0.5", "0.5"], "outcome_probs_psi[0]"),
+            (["outcome_probs_psi"], [True, False], "outcome_probs_psi[0]"),
+            (["outcome_probs_phi"], 0.5, "outcome_probs_phi"),
+        ],
+    )
+    def test_malformed_number_exit_1(self, bell_files, tmp_path, keys, value, field):
+        # float(...) read booleans and numeric strings, so verify exited 0 on
+        # all but "abc", which failed without naming its field.
+        psi_path, phi_path = bell_files
+        out = str(tmp_path / "protocol.json")
+        assert run_cli("synthesize", psi_path, phi_path, "--epsilon", "0.6", "--out", out).returncode == 0
+        _edit_json(out, keys, value)
+        proc = run_cli("verify", psi_path, phi_path, out)
+        assert proc.returncode == 1
+        assert field in proc.stderr
+
     def test_original_dim_beyond_basis_exit_1(self, tmp_path):
         # A Bell protocol edited to original_dim_a 3 used to load, and verify on a
         # (3, 2) pair then printed only numpy's matmul message.

@@ -5,9 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import bell_pair, random_orthogonal_pair
+from conftest import bell_pair, random_orthogonal_pair, random_unitary
 from loccsynth import (
+    BranchNode,
     DimensionMismatchError,
+    GuessLeaf,
+    MultipartiteProtocol,
     Protocol,
     StateVector,
     TruncatedMessagePlan,
@@ -253,3 +256,124 @@ class TestMultipartiteSuccessProbability:
         root = replace(tree.root, children=tree.root.children[:1])
         with pytest.raises(ValueError, match="children"):
             multipartite_success_probability(psi, phi, replace(tree, root=root))
+
+
+def ghz_pair(parties):
+    """GHZ+ and GHZ- on ``parties`` qubits, as flat amplitude arrays."""
+    plus = np.zeros(2**parties, dtype=np.complex128)
+    plus[[0, -1]] = 1 / np.sqrt(2)
+    minus = plus.copy()
+    minus[-1] = -minus[-1]
+    return plus, minus
+
+
+class TestTreePlacement:
+    """Each node must act on the factors left at its depth; the walk scored these as perfect."""
+
+    def test_rejects_bipartite_root_over_three_parties(self):
+        # One decoder measured parties 2 and 3 jointly; scored 0.9999999999999997.
+        plus, minus = ghz_pair(3)
+        leaf = synthesize(StateVector((2, 4), plus), StateVector((2, 4), minus), swap_roles=False)
+        tree = MultipartiteProtocol((2, 2, 2), leaf)
+        with pytest.raises(ValueError, match="depth 0"):
+            multipartite_success_probability(
+                StateVector((2, 2, 2), plus), StateVector((2, 2, 2), minus), tree
+            )
+
+    def test_rejects_leaves_over_three_factors(self):
+        # Leaves on (2, 4) below a 4-party root; scored 0.9999999999999999.
+        plus, minus = ghz_pair(4)
+        psi, phi = StateVector((2,) * 4, plus), StateVector((2,) * 4, minus)
+        tree = synthesize_multipartite(psi, phi)
+        rows = tree.root.alice_vectors.conj() @ np.stack([plus, minus]).reshape(2, 2, 8)
+        rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+        leaves = tuple(
+            synthesize(StateVector((2, 4), x), StateVector((2, 4), y), swap_roles=False)
+            for x, y in zip(*rows)
+        )
+        tree = replace(tree, root=replace(tree.root, children=leaves))
+        with pytest.raises(ValueError, match="depth 1"):
+            multipartite_success_probability(psi, phi, tree)
+
+    def test_rejects_swapped_leaf(self):
+        # The walk read a swapped leaf's rows in the unswapped order.
+        psi, phi, tree = TestMultipartiteSuccessProbability.tree()
+        children = (replace(tree.root.children[0], swapped=True), *tree.root.children[1:])
+        tree = replace(tree, root=replace(tree.root, children=children))
+        with pytest.raises(ValueError, match="depth 1"):
+            multipartite_success_probability(psi, phi, tree)
+
+
+def reference_tree_success(node, a_psi, a_phi, dims):
+    """Correct-guess masses of a subtree, walked one node at a time."""
+    if node is None:
+        return 0.0, 0.0
+    if isinstance(node, GuessLeaf):
+        masses = (np.vdot(a_psi, a_psi).real, np.vdot(a_phi, a_phi).real)
+        return (masses[0], 0.0) if node.guess == "psi" else (0.0, masses[1])
+    rows = node.alice_vectors[:, : dims[0]].conj()
+    c_psi = rows @ a_psi.reshape(dims[0], -1)
+    c_phi = rows @ a_phi.reshape(dims[0], -1)
+    if isinstance(node, Protocol):
+        ok_psi = ok_phi = 0.0
+        for b, x, y in zip(node.bob_projectors, c_psi, c_phi):
+            ok_phi += np.vdot(y, y).real
+            if b is not None:
+                ok_psi += abs(np.vdot(b, x)) ** 2
+                ok_phi -= abs(np.vdot(b, y)) ** 2
+        return ok_psi, ok_phi
+    parts = [reference_tree_success(*z, dims[1:]) for z in zip(node.children, c_psi, c_phi)]
+    return sum(p[0] for p in parts), sum(p[1] for p in parts)
+
+
+def reference_success(psi, phi, tree):
+    return 0.5 * sum(reference_tree_success(tree.root, psi.amplitudes, phi.amplitudes, tree.dims))
+
+
+class TestTreeLevels:
+    """Levels with pruned children and with mixed basis shapes, against the node-by-node walk."""
+
+    def test_pruned_level(self):
+        # The overlap matrix is zero: outcome 0 leaves only psi, outcome 2
+        # neither, and the padding outcome 3 never occurs.
+        a_psi = np.zeros(12, dtype=np.complex128)
+        a_psi[[0, 5]] = np.sqrt([0.3, 0.7])
+        a_phi = np.zeros(12, dtype=np.complex128)
+        a_phi[6] = 1.0
+        psi, phi = StateVector((3, 2, 2), a_psi), StateVector((3, 2, 2), a_phi)
+        tree = synthesize_multipartite(psi, phi)
+        children = tree.root.children
+        assert [type(c) for c in children] == [GuessLeaf, Protocol, type(None), type(None)]
+        assert children[0].guess == "psi"
+        success = multipartite_success_probability(psi, phi, tree)
+        assert abs(success - reference_success(psi, phi, tree)) <= 1e-12
+        assert success >= 1 - 1e-12
+
+    def test_mixed_basis_shapes_at_one_level(self):
+        # Depth 1 holds a 3 x 3 unpadded leaf, a 4 x 4 padded leaf, a 4 x 4
+        # padded branch node and a guess; the score need not be 1.
+        rng = np.random.default_rng(911)
+        psi, phi = random_orthogonal_pair(rng, (3, 3, 2))
+
+        def unit():
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            return v / np.linalg.norm(v)
+
+        def leaf(n):
+            return Protocol(
+                alice_vectors=random_unitary(rng, n),
+                bob_projectors=(unit(), None, *[unit() for _ in range(n - 2)]),
+                outcome_probs_psi=np.full(n, 1 / n),
+                outcome_probs_phi=np.full(n, 1 / n),
+                padded_dim_a=n,
+                original_dim_a=3,
+                dim_b=2,
+            )
+
+        last = BranchNode(random_unitary(rng, 2), 2, 2, (GuessLeaf("psi"), GuessLeaf("phi")))
+        branch = BranchNode(random_unitary(rng, 4), 4, 3, (last, GuessLeaf("psi"), None, None))
+        root = BranchNode(random_unitary(rng, 4), 4, 3, (leaf(3), leaf(4), branch, GuessLeaf("phi")))
+        tree = MultipartiteProtocol((3, 3, 2), root)
+        success = multipartite_success_probability(psi, phi, tree)
+        assert abs(success - reference_success(psi, phi, tree)) <= 1e-12
+        assert 0.0 < success < 1.0
