@@ -97,6 +97,38 @@ class TestSynthesize:
         proc = run_cli("synthesize", str(tmp_path / "nope.json"), str(tmp_path / "nope.json"))
         assert proc.returncode == 1
 
+    def test_integer_beyond_float_range_names_the_entry(self, tmp_path):
+        # A JSON integer like 1e400 used to raise OverflowError in the finiteness check.
+        bad = tmp_path / "bad.json"
+        huge = "1" + "0" * 400
+        bad.write_text(f'{{"schema_version": 1, "dims": [1, 1], "amplitudes": [[{huge}, 0]]}}')
+        proc = run_cli("synthesize", str(bad), str(bad))
+        assert proc.returncode == 1
+        assert "amplitudes[0]" in proc.stderr
+
+    def test_version_1_and_2_inputs_give_the_same_run(self, tmp_path):
+        rng = np.random.default_rng(703)
+        psi, phi = random_orthogonal_pair(rng, (3, 4))
+        runs = []
+        for version in (1, 2):
+            paths = [tmp_path / f"{name}{version}.json" for name in ("psi", "phi", "p")]
+            for path, state in zip(paths, (psi, phi)):
+                if version == 1:
+                    amps = np.column_stack((state.amplitudes.real, state.amplitudes.imag))
+                    doc = {"schema_version": 1, "dims": [3, 4], "amplitudes": amps.tolist()}
+                    path.write_text(json.dumps(doc))
+                else:
+                    formats.save_state(str(path), state)
+            psi_path, phi_path, out = map(str, paths)
+            made = run_cli("synthesize", psi_path, phi_path, "--epsilon", "0.3", "--out", out)
+            checked = run_cli("verify", psi_path, phi_path, out)
+            report = json.loads(checked.stdout)
+            del report["elapsed_s"]
+            runs.append((made.returncode, made.stdout, paths[2].read_bytes()))
+            runs.append((checked.returncode, report))
+        assert runs[0][0] == 0 and runs[1][0] == 0
+        assert runs[0] == runs[2] and runs[1] == runs[3]
+
     @pytest.mark.parametrize("epsilon", ["2", "0", "nan"])
     def test_epsilon_out_of_range_exit_1(self, bell_files, tmp_path, epsilon):
         psi_path, phi_path = bell_files
