@@ -3,6 +3,8 @@
 Subcommands: synthesize, verify, flatten, envcode, bench.  Exit codes:
 0 success, 1 parse or validation failure, 2 domain precondition violation
 (non-orthogonal states, channel input too small), 3 verification failure.
+The commands return 0, 3 and their own checks' codes; :func:`main` turns
+NonOrthogonalInputError into 2 and any other error into 1.
 """
 
 from __future__ import annotations
@@ -45,18 +47,10 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        psi = formats.load_state(args.psi)
-        phi = formats.load_state(args.phi)
-    except Exception as exc:
-        return _fail(str(exc), 1)
-    try:
-        protocol = synthesize(psi, phi)
-        plan = epsilon_truncate(protocol, args.epsilon) if args.epsilon is not None else None
-    except NonOrthogonalInputError as exc:
-        return _fail(str(exc), 2)
-    except Exception as exc:
-        return _fail(str(exc), 1)
+    psi = formats.load_state(args.psi)
+    phi = formats.load_state(args.phi)
+    protocol = synthesize(psi, phi)
+    plan = epsilon_truncate(protocol, args.epsilon) if args.epsilon is not None else None
     report = success_probability(psi, phi, protocol)
     if report.success_prob < 1.0 - SUCCESS_TOLERANCE:
         return _fail(
@@ -74,13 +68,10 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        psi = formats.load_state(args.psi)
-        phi = formats.load_state(args.phi)
-        protocol, plan = formats.load_protocol(args.protocol)
-        report = success_probability(psi, phi, protocol, plan)
-    except Exception as exc:
-        return _fail(str(exc), 1)
+    psi = formats.load_state(args.psi)
+    phi = formats.load_state(args.phi)
+    protocol, plan = formats.load_protocol(args.protocol)
+    report = success_probability(psi, phi, protocol, plan)
     doc = {
         "success_prob": report.success_prob,
         "per_outcome_success": [list(pair) for pair in report.per_outcome_success],
@@ -124,11 +115,8 @@ def _verification_problem(report, plan) -> str | None:
 
 
 def cmd_flatten(args) -> int:
-    try:
-        matrix = formats.load_matrix(args.matrix)
-        result = uflatgen(matrix)
-    except Exception as exc:
-        return _fail(str(exc), 1)
+    matrix = formats.load_matrix(args.matrix)
+    result = uflatgen(matrix)
     residual = verify_flat(matrix, result)
     if args.out:
         formats.save_flattening(args.out, result)
@@ -144,16 +132,10 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_envcode(args) -> int:
-    try:
-        channel = formats.load_channel(args.channel)
-    except Exception as exc:
-        return _fail(str(exc), 1)
+    channel = formats.load_channel(args.channel)
     if channel.input_dim < 2:
         return _fail(f"channel input dimension {channel.input_dim} cannot carry a bit", 2)
-    try:
-        code = build_env_code(channel)
-    except Exception as exc:
-        return _fail(str(exc), 1)
+    code = build_env_code(channel)
     if args.out:
         formats.save_env_code(args.out, code)
     print(
@@ -334,7 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NonOrthogonalInputError as exc:
+        return _fail(str(exc), 2)
+    except Exception as exc:
+        return _fail(str(exc), 1)
 
 
 if __name__ == "__main__":

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    TAU_ORTH,
     TAU_ZERO,
     DimensionMismatchError,
-    NonOrthogonalInputError,
-    NotNormalizedError,
     StateVector,
     as_complex_array,
     frozen,
+    orthogonal_overlap,
 )
 from .simulator import success_probability
 from .synthesis import Protocol, synthesize
@@ -110,29 +108,15 @@ def stinespring(channel: KrausChannel) -> StinespringIsometry:
 
 
 def _checked_encoders(channel: KrausChannel, encoder_states) -> tuple[np.ndarray, np.ndarray]:
+    """The two encoder states, |0> and |1> by default, once they are orthonormal in C^input_dim."""
     d_a = channel.input_dim
     if encoder_states is None:
-        e0 = np.zeros(d_a, dtype=np.complex128)
-        e0[0] = 1.0
-        e1 = np.zeros(d_a, dtype=np.complex128)
-        e1[1] = 1.0
-        return e0, e1
+        encoder_states = np.eye(2, d_a)
     if len(encoder_states) != 2:
         raise ValueError("encoder_states must be a pair of vectors")
-    e0 = as_complex_array(encoder_states[0], "encoder_states[0]").reshape(-1)
-    e1 = as_complex_array(encoder_states[1], "encoder_states[1]").reshape(-1)
-    if e0.size != d_a or e1.size != d_a:
-        raise DimensionMismatchError(
-            f"encoder states must live in dimension {d_a}, got sizes {e0.size}, {e1.size}"
-        )
-    for name, e in (("encoder_states[0]", e0), ("encoder_states[1]", e1)):
-        n = np.linalg.norm(e)
-        if abs(n - 1.0) > 1e-8:
-            raise NotNormalizedError(f"{name} has norm {n!r}")
-    ov = abs(np.vdot(e0, e1))
-    if ov > TAU_ORTH:
-        raise NonOrthogonalInputError(f"encoder states overlap: |<e0|e1>| = {ov:.3e}")
-    return e0, e1
+    e0, e1 = (StateVector((d_a,), e) for e in encoder_states)
+    orthogonal_overlap(e0, e1)
+    return e0.amplitudes, e1.amplitudes
 
 
 def build_env_code(channel: KrausChannel, encoder_states=None) -> EnvCode:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_complex_array, frozen
+from .linalg import DimensionMismatchError, as_complex_array, check_basis, frozen
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
@@ -39,12 +39,7 @@ class FlatteningResult:
     def __post_init__(self):
         u = frozen(as_complex_array(self.unitary, "unitary"))
         object.__setattr__(self, "unitary", u)
-        n = self.padded_dim
-        if u.shape != (n, n) or not 1 <= self.original_dim <= n:
-            raise DimensionMismatchError(
-                f"unitary of shape {u.shape} does not fit padded_dim {n} "
-                f"and original_dim {self.original_dim}"
-            )
+        check_basis("unitary", u, self.padded_dim, self.original_dim)
 
 
 def _uflat2_batch(m00, m01, m10, m11):
@@ -118,6 +113,8 @@ def uflatgen(
     layers overwrite, so a callback that keeps it must copy it.
     """
     m = np.asarray(m, dtype=np.complex128)
+    if m.shape in ((0, 0), (1, 1)):
+        raise DimensionMismatchError("uflatgen needs dimension >= 2")
     hook = None if on_layer is None else lambda p, cur: on_layer(p, cur[0])
     (u,), (residual,) = uflatgen_stack(m[None], hook)
     return FlatteningResult(u, len(u), len(m), float(residual))
@@ -126,7 +123,7 @@ def uflatgen(
 def uflatgen_stack(
     ms: np.ndarray, on_layer: Callable[[int, np.ndarray], None] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten the diagonal of each matrix in a (B, d, d) stack, d >= 2, in one layer loop.
+    """Flatten the diagonal of each matrix in a (B, d, d) stack, d >= 1, in one layer loop.
 
     Returns ``(unitaries, residuals)``: the (B, d_pad, d_pad) unitaries and
     each one's max deviation of the transformed diagonal from tr(M) / d_pad.
@@ -136,15 +133,16 @@ def uflatgen_stack(
     layer every diagonal entry of U M_pad U* equals tr(M) / d_pad.  Each
     layer is a direct sum of 2x2 rotations on disjoint index pairs, so it is
     applied to the paired rows and columns in place, O(d_pad^2) per layer
-    and matrix, every matrix of the stack at once.  ``on_layer`` is called
+    and matrix, every matrix of the stack at once.  d = 1 runs no layer and
+    gives the 1 x 1 identity with residual 0.  ``on_layer`` is called
     with (p, current (B, d_pad, d_pad) stack) after each layer.
     """
     ms = as_complex_array(ms, "matrices")
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise DimensionMismatchError(f"uflatgen expects square matrices, got shape {ms.shape}")
     b, d = ms.shape[:2]
-    if d < 2:
-        raise DimensionMismatchError("uflatgen needs dimension >= 2")
+    if d < 1:
+        raise DimensionMismatchError("uflatgen needs dimension >= 1")
 
     k = (d - 1).bit_length()
     n = 1 << k

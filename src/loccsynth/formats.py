@@ -13,6 +13,7 @@ Scalars and real lists are JSON numbers in both versions, and both load.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import sys
 from typing import Any
@@ -57,13 +58,14 @@ def _array(raw: Any, name: str, version: int) -> np.ndarray:
     if not raw:
         return np.empty(0, dtype=np.complex128)
     try:
-        pairs = np.array(raw)
-    except ValueError:  # ragged nesting
-        raise ValueError(_first_bad_pair(raw, name)) from None
-    numeric = pairs.shape == (len(raw), 2) and pairs.dtype.kind in "iuf"
-    if not numeric or not np.isfinite(pairs).all():
+        # Screened by type first: numpy would read a boolean or a numeric string as a number.
+        numbers = set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}
+        pairs = np.array(raw, dtype=np.float64) if numbers else None
+    except (TypeError, ValueError, OverflowError):  # not nested lists, ragged, or beyond floats
+        pairs = None
+    if pairs is None or pairs.shape != (len(raw), 2) or not np.isfinite(pairs).all():
         raise ValueError(_first_bad_pair(raw, name))
-    return pairs.astype(np.float64).view(np.complex128).reshape(-1)
+    return pairs.view(np.complex128).reshape(-1)
 
 
 def _first_bad_pair(raw: list, name: str) -> str:

@@ -90,6 +90,34 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def pair_overlap(psi: StateVector, phi: StateVector) -> complex:
+    """<phi|psi> for two states on the same factors, once both pass their norm check."""
+    if psi.dims != phi.dims:
+        raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
+    psi.require_normalized()
+    phi.require_normalized()
+    return phi.overlap(psi)
+
+
+def orthogonal_overlap(psi: StateVector, phi: StateVector) -> complex:
+    """:func:`pair_overlap`, refused with NonOrthogonalInputError beyond TAU_ORTH."""
+    ov = pair_overlap(psi, phi)
+    if abs(ov) > TAU_ORTH:
+        raise NonOrthogonalInputError(
+            f"|<phi|psi>| = {abs(ov):.3e} exceeds the orthogonality tolerance {TAU_ORTH}"
+        )
+    return ov
+
+
+def check_basis(name: str, basis: np.ndarray, padded: int, original: int, suffix: str = "") -> None:
+    """Refuse a basis that is not padded x padded, or an original dimension outside 1..padded."""
+    if basis.shape != (padded, padded) or not 1 <= original <= padded:
+        raise DimensionMismatchError(
+            f"{name} of shape {basis.shape} does not fit padded_dim{suffix} {padded} "
+            f"and original_dim{suffix} {original}"
+        )
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense matrix product with an explicit shape check."""
     a = np.asarray(a, dtype=np.complex128)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TAU_NORM, TAU_ORTH, TAU_ZERO, DimensionMismatchError, StateVector
+from .linalg import TAU_NORM, TAU_ORTH, TAU_ZERO, DimensionMismatchError, StateVector, pair_overlap
 from .synthesis import (
     BranchNode,
     GuessLeaf,
@@ -44,13 +44,14 @@ class VerificationReport:
     kept_mass: tuple[float, float]
 
 
-def _checked_rows(protocol: Protocol, *states: StateVector) -> list[np.ndarray]:
-    """Outcome rows of each state, once the protocol's measurement passes its check.
+def _checked_rows(protocol: Protocol, *states: StateVector):
+    """Outcome rows of each state and the decoder rows, once the protocol's measurement passes.
 
     A state is read as a (d_A, d_B) amplitude matrix in the protocol's role
     order; row i of its result is the second party's unnormalized state
-    after outcome i.  Raises DimensionMismatchError for a state that does
-    not fit the protocol and ValueError for a measurement that fails.
+    after outcome i.  The decoders come as :func:`_decoder_rows` gives them.
+    Raises DimensionMismatchError for a state that does not fit the
+    protocol and ValueError for a measurement that fails.
     """
     mats = [s.amplitudes.reshape(s.dims) for s in states]
     mats = [m.T if protocol.swapped else m for m in mats]
@@ -60,8 +61,9 @@ def _checked_rows(protocol: Protocol, *states: StateVector) -> list[np.ndarray]:
                 f"states of dims {m.shape} do not fit a protocol on "
                 f"({protocol.original_dim_a}, {protocol.dim_b})"
             )
-    _check_measurements([protocol.alice_vectors], protocol.bob_projectors)
-    return [_outcome_rows(protocol.alice_vectors, m) for m in mats]
+    b, measured = _decoder_rows(protocol.bob_projectors, protocol.dim_b)
+    _check_measurements(protocol.alice_vectors, b, measured)
+    return [_outcome_rows(protocol.alice_vectors, m) for m in mats], b, measured
 
 
 def _outcome_rows(alice_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -69,24 +71,32 @@ def _outcome_rows(alice_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
     return alice_vectors[..., : m.shape[-2]].conj() @ m
 
 
-def _check_measurements(bases, decoders) -> None:
+def _decoder_rows(decoders, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The decoders as (n, d_B) rows, and the mask of those that measure.
+
+    None answers phi unconditionally; its row is zero, which never answers psi.
+    """
+    zero = np.zeros(d_b, dtype=np.complex128)
+    rows = np.array([zero if v is None else v for v in decoders], dtype=np.complex128)
+    return rows.reshape(-1, d_b), np.array([v is not None for v in decoders], dtype=bool)
+
+
+def _check_measurements(u: np.ndarray, b: np.ndarray, measured: np.ndarray) -> None:
     """Refuse measurement rows that are not orthonormal and decoders that are not unit vectors.
 
-    ``decoders`` may hold None (answer phi), which needs no check; a bad
-    decoder is named by its position in the list.  Arrays of one shape are
-    checked together as one stack.
+    ``u`` is one basis or a stack of them, a vector per row; ``b`` and
+    ``measured`` are decoder rows and their mask from :func:`_decoder_rows`.
+    Rows that do not measure need no check; a bad decoder is named by its row.
     """
-    for _, u in _stacks(bases):
-        # Written as "not within tolerance" so that NaN entries fail the checks.
-        gram = u @ u.conj().transpose(0, 2, 1)
-        defect = float(np.max(np.abs(gram - np.eye(u.shape[1]))))
-        if not defect <= TAU_NORM:
-            raise ValueError(f"measurement rows are not orthonormal: max|U U* - I| = {defect:.3e}")
-    for where, b in _stacks(decoders):
-        norms = np.linalg.norm(b, axis=1)
-        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= TAU_NORM))
-        if bad.size:
-            raise ValueError(f"decoder {where[bad[0]]} has norm {norms[bad[0]]!r}, not 1")
+    # Written as "not within tolerance" so that NaN entries fail the checks.
+    gram = u @ u.conj().swapaxes(-1, -2)
+    defect = float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
+    if not defect <= TAU_NORM:
+        raise ValueError(f"measurement rows are not orthonormal: max|U U* - I| = {defect:.3e}")
+    norms = np.linalg.norm(b, axis=-1)
+    bad = np.flatnonzero(measured & ~(np.abs(norms - 1.0) <= TAU_NORM))
+    if bad.size:
+        raise ValueError(f"decoder {bad[0]} has norm {norms[bad[0]]!r}, not 1")
 
 
 def _stacks(arrays):
@@ -98,21 +108,19 @@ def _stacks(arrays):
     return [(where, np.array([arrays[i] for i in where])) for where in groups.values()]
 
 
-def _outcome_table(cond_psi: np.ndarray, cond_phi: np.ndarray, decoders):
+def _outcome_table(cond_psi: np.ndarray, cond_phi: np.ndarray, b: np.ndarray, measured):
     """Per-outcome probabilities and correct-guess masses, from the outcome rows of both states.
 
-    The rows may be (n, d_B) or a (B, n, d_B) stack, with ``decoders`` in
-    the same order as the rows; every result has the rows' leading shape.
+    The rows may be (n, d_B) or a (B, n, d_B) stack, with the decoder rows
+    ``b`` and their mask ``measured`` in the same order as the rows; every
+    result has the rows' leading shape.
     """
     q_psi = np.einsum("...ij,...ij->...i", cond_psi.conj(), cond_psi).real
     q_phi = np.einsum("...ij,...ij->...i", cond_phi.conj(), cond_phi).real
-    # None answers phi unconditionally; a zero vector in its place never answers psi.
-    zero = np.zeros(cond_psi.shape[-1], dtype=np.complex128)
-    b = np.array([zero if v is None else v for v in decoders]).reshape(cond_psi.shape).conj()
-    measured = np.array([v is not None for v in decoders]).reshape(q_psi.shape)
+    b = b.reshape(cond_psi.shape).conj()
     ok_psi = np.abs(np.einsum("...ij,...ij->...i", b, cond_psi)) ** 2
     hit_phi = np.abs(np.einsum("...ij,...ij->...i", b, cond_phi)) ** 2
-    ok_phi = np.where(measured, np.maximum(q_phi - hit_phi, 0.0), q_phi)
+    ok_phi = np.where(measured.reshape(q_psi.shape), np.maximum(q_phi - hit_phi, 0.0), q_phi)
     return q_psi, q_phi, ok_psi, ok_phi
 
 
@@ -130,12 +138,9 @@ def success_probability(
     keeps a repeated or out-of-range outcome.
     """
     start = time.perf_counter()
-    psi.require_normalized()
-    phi.require_normalized()
-    if psi.dims != phi.dims:
-        raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
-    cond_psi, cond_phi = _checked_rows(protocol, psi, phi)
-    q_psi, q_phi, ok_psi, ok_phi = _outcome_table(cond_psi, cond_phi, protocol.bob_projectors)
+    pair_overlap(psi, phi)
+    (cond_psi, cond_phi), b, measured = _checked_rows(protocol, psi, phi)
+    q_psi, q_phi, ok_psi, ok_phi = _outcome_table(cond_psi, cond_phi, b, measured)
     both = (q_psi > TAU_ZERO**2) & (q_phi > TAU_ZERO**2)
     overlaps = np.abs(np.einsum("ij,ij->i", cond_phi[both].conj(), cond_psi[both]))
     residual = np.max(overlaps / np.sqrt(q_psi[both] * q_phi[both]), initial=0.0)
@@ -186,8 +191,8 @@ def sample_run(
     if truth not in ("psi", "phi"):
         raise ValueError(f"truth must be 'psi' or 'phi', got {truth!r}")
     state.require_normalized()
-    (cond,) = _checked_rows(protocol, state)
-    q, _, hit, _ = _outcome_table(cond, cond, protocol.bob_projectors)
+    (cond,), b, measured = _checked_rows(protocol, state)
+    q, _, hit, _ = _outcome_table(cond, cond, b, measured)
     guess_psi_prob = np.divide(hit, q, out=np.zeros_like(q), where=q > 0.0)
 
     cdf = np.cumsum(q)
@@ -208,7 +213,8 @@ def multipartite_success_probability(
     """Exact success probability of a protocol tree, by full enumeration, level by level.
 
     The conditional pairs of a level are stacked, and the outcome rows of
-    every measuring node with one basis shape come from one product.
+    every measuring node with one basis shape come from one product, after
+    one check of those bases and their leaves' decoders.
     Raises ValueError when a node does not fit the factors dims[k:] left at
     its depth k, the measurement rows of some node are not orthonormal, or
     a leaf decoder is not a unit vector.  A BranchNode measures dims[k],
@@ -216,20 +222,15 @@ def multipartite_success_probability(
     two factors, unswapped; below the last factor only a GuessLeaf or None
     fits.  Elsewhere a node would measure the wrong parties, or two at once.
     """
-    if psi.dims != phi.dims:
-        raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
+    pair_overlap(psi, phi)
     if psi.dims != protocol.dims:
         raise DimensionMismatchError(
             f"states on dims {psi.dims} do not fit a protocol on {protocol.dims}"
         )
-    psi.require_normalized()
-    phi.require_normalized()
     nodes = [protocol.root]
     # pairs[:, j] is the unnormalized (psi, phi) conditional pair that nodes[j] receives.
     pairs = np.stack([psi.amplitudes, phi.amplitudes])[:, None]
     ok = np.zeros(2)
-    bases: list = []
-    decoders: list = []
     for depth in range(len(protocol.dims) + 1):
         factors = protocol.dims[depth:]
         for node in nodes:
@@ -240,21 +241,19 @@ def multipartite_success_probability(
         children: list = []
         rows: list = []
         for where, u in _stacks([getattr(node, "alice_vectors", None) for node in nodes]):
-            bases.extend(u)
             group = [nodes[j] for j in where]
             cond = _outcome_rows(u, pairs[:, where].reshape(2, len(where), factors[0], -1))
             leaf = np.array([isinstance(node, Protocol) for node in group])
             found = [b for node in group if isinstance(node, Protocol) for b in node.bob_projectors]
-            decoders.extend(found)
-            _, _, hit_psi, hit_phi = _outcome_table(cond[0, leaf], cond[1, leaf], found)
+            b, measured = _decoder_rows(found, cond.shape[-1])
+            _check_measurements(u, b, measured)
+            _, _, hit_psi, hit_phi = _outcome_table(cond[0, leaf], cond[1, leaf], b, measured)
             ok += hit_psi.sum(), hit_phi.sum()
             children.extend(c for n in group if isinstance(n, BranchNode) for c in n.children)
             rows.append(cond[:, ~leaf].reshape(2, -1, cond.shape[-1]))
         if not children:
             break
         nodes, pairs = children, np.concatenate(rows, axis=1)
-    # One check per array shape over every node costs far less than one per node.
-    _check_measurements(bases, decoders)
     return 0.5 * float(ok.sum())
 
 

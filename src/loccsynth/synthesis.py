@@ -11,7 +11,6 @@ outcome, so the final guess is never wrong.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -19,22 +18,14 @@ import numpy as np
 
 from .flatten import uflatgen_stack
 from .linalg import (
-    TAU_ORTH,
     TAU_ZERO,
     DimensionMismatchError,
-    NonOrthogonalInputError,
     StateVector,
+    check_basis,
     frozen,
+    orthogonal_overlap,
+    pair_overlap,
 )
-
-
-def _check_basis(basis: np.ndarray, padded: int, original: int, suffix: str = "") -> None:
-    """Refuse a basis that is not padded x padded, or an original dimension outside 1..padded."""
-    if basis.shape != (padded, padded) or not 1 <= original <= padded:
-        raise DimensionMismatchError(
-            f"alice_vectors of shape {basis.shape} do not fit padded_dim{suffix} {padded} "
-            f"and original_dim{suffix} {original}"
-        )
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,7 @@ class Protocol:
         decoders = tuple(None if b is None else frozen(b) for b in self.bob_projectors)
         object.__setattr__(self, "bob_projectors", decoders)
         n = self.padded_dim_a
-        _check_basis(self.alice_vectors, n, self.original_dim_a, "_a")
+        check_basis("alice_vectors", self.alice_vectors, n, self.original_dim_a, "_a")
         shapes = [b.shape for b in decoders if b is not None]
         if len(decoders) != n or any(shape != (self.dim_b,) for shape in shapes):
             raise DimensionMismatchError(
@@ -132,7 +123,7 @@ class BranchNode:
     def __post_init__(self):
         object.__setattr__(self, "alice_vectors", frozen(self.alice_vectors))
         object.__setattr__(self, "children", tuple(self.children))
-        _check_basis(self.alice_vectors, self.padded_dim, self.original_dim)
+        check_basis("alice_vectors", self.alice_vectors, self.padded_dim, self.original_dim)
 
 
 @dataclass(frozen=True)
@@ -154,29 +145,13 @@ def overlap_matrix(psi: StateVector, phi: StateVector) -> np.ndarray:
     """
     if len(psi.dims) != 2 or len(phi.dims) != 2:
         raise DimensionMismatchError("overlap_matrix expects bipartite states")
-    if psi.dims != phi.dims:
-        raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
-    psi.require_normalized()
-    phi.require_normalized()
+    pair_overlap(psi, phi)
     return _overlap(psi.amplitudes.reshape(psi.dims), phi.amplitudes.reshape(phi.dims))
 
 
 def _overlap(m_psi: np.ndarray, m_phi: np.ndarray) -> np.ndarray:
     """M = conj(m_phi) @ m_psi^T for (d_A, rest) amplitude matrices, or stacks of them."""
     return m_phi.conj() @ m_psi.swapaxes(-1, -2)
-
-
-def _check_pair(psi: StateVector, phi: StateVector) -> complex:
-    if psi.dims != phi.dims:
-        raise DimensionMismatchError(f"dims {psi.dims} vs {phi.dims}")
-    psi.require_normalized()
-    phi.require_normalized()
-    ov = phi.overlap(psi)
-    if abs(ov) > TAU_ORTH:
-        raise NonOrthogonalInputError(
-            f"|<phi|psi>| = {abs(ov):.3e} exceeds the orthogonality tolerance {TAU_ORTH}"
-        )
-    return ov
 
 
 def synthesize(psi: StateVector, phi: StateVector, swap_roles: bool = True) -> Protocol:
@@ -191,7 +166,7 @@ def synthesize(psi: StateVector, phi: StateVector, swap_roles: bool = True) -> P
             f"synthesize takes two-factor states, got dims {psi.dims} and {phi.dims}; "
             "use synthesize_multipartite for three or more factors"
         )
-    ov = _check_pair(psi, phi)
+    ov = orthogonal_overlap(psi, phi)
     # One pair of (d_A, d_B) amplitude matrices, stacked as (2, 1, d_A, d_B).
     m = np.stack([psi.amplitudes, phi.amplitudes]).reshape(2, 1, *psi.dims)
     d_a, d_b = psi.dims
@@ -209,13 +184,8 @@ def _measure(m: np.ndarray):
     unnormalized state after outcome i, and the outcome masses, the squared
     norms of those rows.
     """
-    b, d_a = m.shape[1:3]
-    if d_a == 1:
-        # A single outcome: the measuring party is trivial and the second
-        # party discriminates the (orthogonal) states on its own.
-        u, residuals = np.ones((b, 1, 1), dtype=np.complex128), np.zeros(b)
-    else:
-        u, residuals = uflatgen_stack(_overlap(m[0], m[1]))
+    d_a = m.shape[2]
+    u, residuals = uflatgen_stack(_overlap(m[0], m[1]))
     # Padded rows of a state are zero, so conj(u) @ pad(m) = conj(u[:, :d_A]) @ m.
     cond = u[:, :, :d_a].conj() @ m
     probs = np.einsum("...ij,...ij->...i", cond.conj(), cond).real
@@ -271,25 +241,13 @@ def epsilon_truncate(protocol: Protocol, epsilon: float) -> TruncatedMessagePlan
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     p_psi = protocol.outcome_probs_psi
     p_phi = protocol.outcome_probs_phi
-    order = sorted(
-        range(protocol.padded_dim_a),
-        key=lambda i: (-min(p_psi[i], p_phi[i]), -(p_psi[i] + p_phi[i]), i),
-    )
+    # lexsort is stable, so the last tie rule, ascending index, needs no key.
+    order = np.lexsort((-(p_psi + p_phi), -np.minimum(p_psi, p_phi))).tolist()
     goal = 1.0 - epsilon
-
-    kept: list[int] = []
-    got_psi = 0.0
-    got_phi = 0.0
-    for i in order:
-        if kept and got_psi >= goal and got_phi >= goal:
-            break
-        kept.append(i)
-        got_psi += p_psi[i]
-        got_phi += p_phi[i]
-
-    improved = _refine_kept_subset(order, p_psi, p_phi, goal, len(kept))
-    if improved is not None:
-        kept = improved
+    x, y = p_psi[order], p_phi[order]
+    # The shortest prefix of the ranking that meets both goals, or all of it.
+    prefix = _reach(np.minimum(np.cumsum(x), np.cumsum(y)), goal)
+    kept = _refine_kept_subset(order, x, y, goal, prefix) or order[:prefix]
     bits = (len(kept) - 1).bit_length() + 1
     return TruncatedMessagePlan(
         kept_outcomes=tuple(kept),
@@ -300,6 +258,12 @@ def epsilon_truncate(protocol: Protocol, epsilon: float) -> TruncatedMessagePlan
     )
 
 
+def _reach(running: np.ndarray, goal: float) -> int:
+    """How many terms of a running sum it takes to reach ``goal``; all of them if it never does."""
+    hits = np.flatnonzero(running >= goal)
+    return int(hits[0]) + 1 if hits.size else len(running)
+
+
 # Refinement limits: past these the greedy prefix stands unrefined.  The
 # prefix overshoots the optimum only when the two probability profiles
 # rank outcomes differently, and then rarely by more than one outcome, so
@@ -308,27 +272,19 @@ _REFINE_MAX_OUTCOMES = 256
 _REFINE_NODE_BUDGET = 100_000
 
 
-def _refine_kept_subset(order, p_psi, p_phi, goal, prefix_size):
+def _refine_kept_subset(order, x, y, goal, prefix_size):
     """Smallest subset meeting both retention goals, or None to keep the prefix.
 
-    Searches sizes below the greedy prefix size with a depth-first scan in
-    greedy order, pruning on the best still-reachable retention for each
-    state (sum of the largest remaining probabilities).
+    ``x`` and ``y`` are the two outcome profiles in ``order``.  Searches
+    sizes below the greedy prefix size with a depth-first scan in greedy
+    order, pruning on the best still-reachable retention for each state
+    (sum of the largest remaining probabilities).
     """
     n = len(order)
     if n > _REFINE_MAX_OUTCOMES or prefix_size <= 1:
         return None
-    x = [float(p_psi[i]) for i in order]
-    y = [float(p_phi[i]) for i in order]
-
-    def min_alone(vals):
-        total = 0.0
-        for count, v in enumerate(sorted(vals, reverse=True), start=1):
-            total += v
-            if total >= goal:
-                return count
-        return n
-    lower = max(min_alone(x), min_alone(y), 1)
+    # A kept set needs as many outcomes as each state's largest ones take to reach the goal.
+    lower = max(_reach(np.cumsum(np.sort(v)[::-1]), goal) for v in (x, y))
     if lower >= prefix_size:
         return None
 
@@ -336,6 +292,7 @@ def _refine_kept_subset(order, p_psi, p_phi, goal, prefix_size):
     # top_x[pos][k]: sum of the k largest x values in order positions pos..n-1.
     top_x = _suffix_top_sums(x, smax)
     top_y = _suffix_top_sums(y, smax)
+    x, y = x.tolist(), y.tolist()
     budget = [_REFINE_NODE_BUDGET]
 
     def search(pos, left, need_x, need_y, chosen):
@@ -364,23 +321,13 @@ def _refine_kept_subset(order, p_psi, p_phi, goal, prefix_size):
     return None
 
 
-def _suffix_top_sums(vals, smax):
-    """table[pos][k] = sum of the k largest of vals[pos:], for k <= smax."""
+def _suffix_top_sums(vals: np.ndarray, smax: int) -> list[list[float]]:
+    """table[pos][k] = sum of the k largest of vals[pos:], for k <= min(smax, len(vals) - pos)."""
     n = len(vals)
-    table = [[0.0] * (smax + 1) for _ in range(n + 1)]
-    best: list[float] = []  # ascending
-    for pos in range(n - 1, -1, -1):
-        bisect.insort(best, vals[pos])
-        if len(best) > smax:
-            best.pop(0)
-        row = table[pos]
-        total = 0.0
-        for k, v in enumerate(reversed(best), start=1):
-            total += v
-            row[k] = total
-        for k in range(len(best) + 1, smax + 1):
-            row[k] = total
-    return table
+    # Row pos: vals[pos:] sorted descending, then -inf where the suffix has run out.
+    rows = np.sort(np.where(np.arange(n) >= np.arange(n + 1)[:, None], vals, -np.inf), axis=1)
+    sums = np.cumsum(np.hstack([np.zeros((n + 1, 1)), rows[:, ::-1][:, :smax]]), axis=1)
+    return sums.tolist()
 
 
 def synthesize_multipartite(psi: StateVector, phi: StateVector) -> MultipartiteProtocol:
@@ -396,7 +343,7 @@ def synthesize_multipartite(psi: StateVector, phi: StateVector) -> MultipartiteP
         raise DimensionMismatchError(
             f"need at least 3 factors, got dims {psi.dims}; use synthesize for 2"
         )
-    _check_pair(psi, phi)
+    orthogonal_overlap(psi, phi)
     root = _synthesize_tree(psi.amplitudes, phi.amplitudes, psi.dims)
     return MultipartiteProtocol(dims=psi.dims, root=root)
 

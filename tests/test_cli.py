@@ -6,6 +6,7 @@ Exit codes are part of the contract: 0 success, 1 bad input or usage,
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from loccsynth import (
     Protocol,
     StateVector,
     TruncatedMessagePlan,
+    cli,
     formats,
     synthesize,
 )
@@ -286,7 +288,7 @@ class TestVerify:
 
 def _edit_json(path, keys, value):
     """Set doc[keys[0]][keys[1]]... to value, or delete it when value is None."""
-    doc = json.loads(open(path).read())
+    doc = json.loads(pathlib.Path(path).read_text())
     inner = doc
     for key in keys[:-1]:
         inner = inner[key]
@@ -356,6 +358,7 @@ class TestTypedProtocolFields:
             ("input_overlap", 0),
             ("input_overlap", [1]),
             ("input_overlap", [1, "x"]),
+            ("input_overlap", [True, 0]),
             ("input_overlap", None),
         ],
     )
@@ -382,6 +385,7 @@ class TestTypedProtocolFields:
             (["outcome_probs_psi"], ["0.5", "0.5"], "outcome_probs_psi[0]"),
             (["outcome_probs_psi"], [True, False], "outcome_probs_psi[0]"),
             (["outcome_probs_phi"], 0.5, "outcome_probs_phi"),
+            (["bob_projectors", 0, 0], [True, 0], "bob_projectors[0]"),
         ],
     )
     def test_malformed_number_exit_1(self, bell_files, tmp_path, keys, value, field):
@@ -443,7 +447,7 @@ class TestFlatten:
         assert proc.returncode == 0, proc.stderr
         assert "flattened 2 -> 2" in proc.stdout
         assert "residual=" in proc.stdout
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         assert doc["padded_dim"] == 2
         assert len(doc["unitary"]) == 4
 
@@ -488,7 +492,7 @@ class TestEnvcode:
         assert proc.returncode == 0, proc.stderr
         assert "env_dim=2" in proc.stdout
         assert "error_prob=" in proc.stdout
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         assert doc["error_prob"] <= 1e-9
 
     def test_one_dimensional_input_exit_2(self, tmp_path):
@@ -557,8 +561,46 @@ class TestBench:
             "OMP_NUM_THREADS": "2",
             "MKL_NUM_THREADS": None,
         }
-        saved = [json.loads(line) for line in open(out).read().splitlines()]
+        saved = [json.loads(line) for line in pathlib.Path(out).read_text().splitlines()]
         assert saved == records
+
+
+class TestExitCodes:
+    def test_protocol_below_the_bar_exits_3_and_writes_nothing(
+        self, bell_files, tmp_path, monkeypatch, capsys
+    ):
+        # Measuring in the computational basis and always answering phi is a coin flip.
+        coin_flip = Protocol(
+            alice_vectors=np.eye(2),
+            bob_projectors=(None, None),
+            outcome_probs_psi=[0.5, 0.5],
+            outcome_probs_phi=[0.5, 0.5],
+            padded_dim_a=2,
+            original_dim_a=2,
+            dim_b=2,
+        )
+        monkeypatch.setattr(cli, "synthesize", lambda psi, phi: coin_flip)
+        out = tmp_path / "protocol.json"
+        assert cli.main(["synthesize", *bell_files, "--out", str(out)]) == 3
+        assert "only reaches success 0.500000000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exits_1_without_a_traceback(self, bell_files, tmp_path):
+        # Saving ran outside every handler, so the error surfaced as a traceback.
+        proc = run_cli("synthesize", *bell_files, "--out", str(tmp_path / "missing" / "p.json"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_bench_overlap_prints_the_record_stream(self):
+        proc = run_cli("bench", "overlap", "--sizes", "64,128", "--repeats", "5")
+        # Small sizes sit outside the asymptotic window; only the records are checked.
+        assert proc.returncode in (0, 3), proc.stderr
+        lines = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["d"] for r in lines if "median_ns" in r] == [64, 128]
+        assert [(r["ratio_from"], r["ratio_to"]) for r in lines if "ratio" in r] == [(64, 128)]
+        assert lines[-1]["operation"] == "overlap"
+        assert lines[-1]["window"] == [1.6, 2.6]
 
 
 class TestUsage:

@@ -13,6 +13,7 @@ from loccsynth import (
     uflatgen,
     verify_flat,
 )
+from loccsynth.flatten import uflatgen_stack
 
 S = 1 / np.sqrt(2)
 
@@ -256,6 +257,17 @@ class TestUflatgen:
         result = uflatgen(np.eye(2))
         with pytest.raises(DimensionMismatchError):
             verify_flat(np.eye(3), result)
+
+    def test_stack_of_one_dimensional_matrices_runs_no_layer(self):
+        # A measurement with one outcome: synthesis takes it from here for d_A = 1.
+        layers = []
+        ms = np.array([[[2.0 - 1.0j]], [[0.0]]])
+        u, residuals = uflatgen_stack(ms, lambda p, cur: layers.append(p))
+        assert layers == []
+        assert np.array_equal(u, np.ones((2, 1, 1)))
+        assert np.array_equal(residuals, [0.0, 0.0])
+        with pytest.raises(DimensionMismatchError):
+            uflatgen_stack(np.ones((2, 0, 0)))
 
     def test_rejects_tiny_and_crooked_input(self):
         with pytest.raises(DimensionMismatchError):

@@ -363,6 +363,8 @@ CORRUPTIONS = {
     "-inf": lambda z: (2, encode(with_entry(z, complex(-np.inf, 0.0)), 2)),
     "list payload in version 2": lambda z: (2, encode(z, 1)),
     "string payload in version 1": lambda z: (1, encode(z, 2)),
+    # numpy reads a boolean beside numbers as 0 or 1.
+    "boolean in a version 1 pair": lambda z: (1, [[True, 0.0], *encode(z, 1)[1:]]),
 }
 
 
@@ -423,6 +425,18 @@ class TestVersion2Payloads:
         write_json(p, {"schema_version": 1, "input_dim": 2, "output_dim": 2, "kraus": kraus})
         for got, want in zip(formats.load_channel(str(p)).kraus, ops, strict=True):
             assert same_bits(got, want.astype(np.complex128))
+
+    def test_version_1_integer_beyond_64_bits_loads_like_its_float_twin(self, tmp_path, capsys):
+        # numpy made an object array of 2**64, and the entries were refused unnamed.
+        outputs = []
+        for big in (2**64, float(2**64)):
+            entries = [[big, 0], [0, 0], [0, 0], [-big, 0]]
+            doc = {"schema_version": 1, "rows": 2, "cols": 2, "entries": entries}
+            write_json(tmp_path / "m.json", doc)
+            capsys.readouterr()
+            assert main(["flatten", str(tmp_path / "m.json"), "--out", str(tmp_path / "u.json")]) == 0
+            outputs.append((capsys.readouterr().out, (tmp_path / "u.json").read_text()))
+        assert outputs[0] == outputs[1]
 
     def test_version_2_protocol_verifies_like_its_version_1_twin(self, tmp_path, capsys):
         rng = np.random.default_rng(609)

@@ -28,6 +28,7 @@ from loccsynth import (
     epsilon_truncate,
     overlap_matrix,
     success_probability,
+    synthesis,
     synthesize,
     synthesize_multipartite,
     unvec,
@@ -289,6 +290,29 @@ class TestEpsilonTruncate:
         assert sorted(plan.kept_outcomes) == [0, 1, 7]
         assert plan.retained_prob_psi >= 0.5
         assert plan.retained_prob_phi >= 0.5
+        assert plan.bits == 3
+
+    def test_node_budget_spent_keeps_the_greedy_prefix(self, monkeypatch):
+        monkeypatch.setattr(synthesis, "_REFINE_NODE_BUDGET", 3)
+        p_psi = [0.1126, 0.1938, 0.129, 0.0533, 0.0833, 0.047, 0.1359, 0.2452]
+        p_phi = [0.196, 0.2284, 0.1173, 0.0502, 0.1006, 0.0806, 0.0798, 0.1469]
+        plan = epsilon_truncate(make_probs_protocol(p_psi, p_phi), 0.5)
+        assert plan.kept_outcomes == (1, 7, 2, 0)
+        assert plan.retained_prob_psi >= 0.5
+        assert plan.retained_prob_phi >= 0.5
+
+    def test_more_outcomes_than_the_search_takes_keep_the_prefix(self):
+        # The profile above, padded with empty outcomes past the search's 256.
+        p_psi = [0.1126, 0.1938, 0.129, 0.0533, 0.0833, 0.047, 0.1359, 0.2452] + [0.0] * 292
+        p_phi = [0.196, 0.2284, 0.1173, 0.0502, 0.1006, 0.0806, 0.0798, 0.1469] + [0.0] * 292
+        plan = epsilon_truncate(make_probs_protocol(p_psi, p_phi), 0.5)
+        assert plan.kept_outcomes == (1, 7, 2, 0)
+
+    def test_profile_short_of_the_goal_keeps_every_outcome(self):
+        # No subset reaches 1 - 1e-12, so neither the prefix nor the search stops early.
+        protocol = make_probs_protocol([0.5, 0.3, 0.2 - 1e-9], [0.2 - 1e-9, 0.3, 0.5])
+        plan = epsilon_truncate(protocol, 1e-12)
+        assert sorted(plan.kept_outcomes) == [0, 1, 2]
         assert plan.bits == 3
 
     def test_minimal_cardinality_against_exhaustion(self):
