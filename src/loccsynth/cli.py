@@ -10,6 +10,7 @@ NonOrthogonalInputError into 2 and any other error into 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -27,17 +28,13 @@ from .synthesis import epsilon_truncate, overlap_matrix, synthesize
 
 SUCCESS_TOLERANCE = 1e-9
 DEFAULT_SEED = 1234
-# Sizes where the stated cost dominates the fixed per-call and per-layer
-# cost: flatten O(d^2 log d), synthesize O(d_A^2 d_B + d^2 log d).
-DEFAULT_SIZES = {
-    "flatten": (128, 256, 512),
-    "synthesize": (128, 256, 512),
-    "overlap": (16384, 32768, 65536),
-}
-RATIO_WINDOWS = {
-    "flatten": (3.0, 6.0),
-    "synthesize": (3.0, 8.0),
-    "overlap": (1.6, 2.6),
+# Per operation: the default sizes, where the stated cost dominates the fixed
+# per-call and per-layer cost (flatten O(d^2 log d), synthesize
+# O(d_A^2 d_B + d^2 log d)), and the window for the largest doubling step's ratio.
+_BENCH_CASES = {
+    "flatten": ((128, 256, 512), (3.0, 6.0)),
+    "overlap": ((16384, 32768, 65536), (1.6, 2.6)),
+    "synthesize": ((128, 256, 512), (3.0, 8.0)),
 }
 
 
@@ -72,15 +69,7 @@ def cmd_verify(args) -> int:
     phi = formats.load_state(args.phi)
     protocol, plan = formats.load_protocol(args.protocol)
     report = success_probability(psi, phi, protocol, plan)
-    doc = {
-        "success_prob": report.success_prob,
-        "per_outcome_success": [list(pair) for pair in report.per_outcome_success],
-        "max_orthogonality_residual": report.max_orthogonality_residual,
-        "elapsed_s": report.elapsed_s,
-        "tolerances": report.tolerances,
-        "kept_mass": list(report.kept_mass),
-    }
-    print(json.dumps(doc, indent=1))
+    print(json.dumps(dataclasses.asdict(report), indent=1))
     problem = _verification_problem(report, plan)
     return 0 if problem is None else _fail(problem, 3)
 
@@ -174,12 +163,14 @@ def _bench_case(operation: str, d: int, dim_a: int, seed: int):
 
 def cmd_bench(args) -> int:
     operation = args.operation
-    sizes = args.sizes or DEFAULT_SIZES[operation]
+    default_sizes, (low, high) = _BENCH_CASES[operation]
+    sizes = args.sizes or default_sizes
     if args.repeats < 5:
         return _fail(f"need at least 5 repeats per size, got {args.repeats}", 1)
     if len(sizes) < 2:
         return _fail(f"need at least 2 sizes to measure growth, got {list(sizes)}", 1)
-    if not any(b == 2 * a for a, b in zip(sizes, sizes[1:])):
+    steps = [(a, b) for a, b in zip(sizes, sizes[1:]) if b == 2 * a]
+    if not steps:
         return _fail("sizes must contain at least one consecutive doubling step", 1)
 
     runs = [_bench_case(operation, d, args.dim_a, args.seed) for d in sizes]
@@ -204,25 +195,18 @@ def cmd_bench(args) -> int:
         }
         for d, times in zip(sizes, samples)
     ]
-    for record in records:
-        print(json.dumps(record))
-
+    lines = "".join(json.dumps(record) + "\n" for record in records)
+    print(lines, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
+            fh.write(lines)
 
     by_d = {r["d"]: r["min_ns"] for r in records}
-    ratios = [
-        (a, b, by_d[b] / by_d[a])
-        for a, b in zip(sizes, sizes[1:])
-        if b == 2 * a and by_d[a] > 0
-    ]
+    ratios = [(a, b, by_d[b] / by_d[a]) for a, b in steps if by_d[a] > 0]
     if not ratios:
         return _fail("no doubling step produced a measurable ratio", 1)
     for a, b, ratio in ratios:
         print(json.dumps({"ratio_from": a, "ratio_to": b, "ratio": round(ratio, 3)}))
-    low, high = RATIO_WINDOWS[operation]
     _, largest_to, largest_ratio = ratios[-1]
     verdict = low <= largest_ratio <= high
     print(
@@ -291,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_env.set_defaults(func=cmd_envcode)
 
     p_ben = sub.add_parser("bench", help="measure runtime growth under size doubling")
-    p_ben.add_argument("operation", choices=("flatten", "overlap", "synthesize"))
+    p_ben.add_argument("operation", choices=tuple(_BENCH_CASES))
     p_ben.add_argument(
         "--sizes",
         type=_sizes_arg,

@@ -113,8 +113,8 @@ def uflatgen(
     layers overwrite, so a callback that keeps it must copy it.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.shape in ((0, 0), (1, 1)):
-        raise DimensionMismatchError("uflatgen needs dimension >= 2")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or len(m) < 2:
+        raise DimensionMismatchError(f"uflatgen expects a square matrix >= 2 x 2, got {m.shape}")
     hook = None if on_layer is None else lambda p, cur: on_layer(p, cur[0])
     (u,), (residual,) = uflatgen_stack(m[None], hook)
     return FlatteningResult(u, len(u), len(m), float(residual))

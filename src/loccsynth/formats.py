@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import itertools
 import json
+import math
 import sys
 from typing import Any
 
@@ -66,6 +67,15 @@ def _array(raw: Any, name: str, version: int) -> np.ndarray:
     if pairs is None or pairs.shape != (len(raw), 2) or not np.isfinite(pairs).all():
         raise ValueError(_first_bad_pair(raw, name))
     return pairs.view(np.complex128).reshape(-1)
+
+
+def _shaped(raw: Any, name: str, version: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The array field ``raw`` read by :func:`_array`, refused unless it fills ``shape``."""
+    flat = _array(raw, name, version)
+    size = math.prod(shape)
+    if flat.size != size:
+        raise ValueError(f"{name} must have {size} entries, got {flat.size}")
+    return flat.reshape(shape)
 
 
 def _first_bad_pair(raw: list, name: str) -> str:
@@ -132,15 +142,69 @@ def _write(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+# Each record's fields in file order: this table, not the record, fixes a document's keys.
+_FIELDS: dict[type, tuple[str, ...]] = {
+    StateVector: (
+        "dims",
+        "amplitudes",
+    ),
+    KrausChannel: (
+        "input_dim",
+        "output_dim",
+        "kraus",
+    ),
+    Protocol: (
+        "padded_dim_a",
+        "original_dim_a",
+        "dim_b",
+        "swapped",
+        "alice_vectors",
+        "bob_projectors",
+        "outcome_probs_psi",
+        "outcome_probs_phi",
+        "input_overlap",
+        "flatten_residual",
+    ),
+    TruncatedMessagePlan: (
+        "kept_outcomes",
+        "epsilon",
+        "bits",
+        "retained_prob_psi",
+        "retained_prob_phi",
+    ),
+    FlatteningResult: (
+        "original_dim",
+        "padded_dim",
+        "residual",
+        "unitary",
+    ),
+    EnvCode: (
+        "encoder_states",
+        "error_prob",
+        "protocol",
+    ),
+}
+
+
+def _encode(value: Any, version: int | None) -> Any:
+    """``value`` as JSON: a record as its schema_version (unless None), then its fields."""
+    fields = _FIELDS.get(type(value))
+    if fields is not None:
+        doc = {} if version is None else {"schema_version": version}
+        for name in fields:
+            doc[name] = _encode(getattr(value, name), version)
+        return doc
+    if isinstance(value, np.ndarray):
+        return _payload(value, version) if np.iscomplexobj(value) else value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_encode(item, version) for item in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
 def save_state(path: str, state: StateVector) -> None:
-    _write(
-        path,
-        {
-            "schema_version": INPUT_VERSION,
-            "dims": list(state.dims),
-            "amplitudes": _payload(state.amplitudes, INPUT_VERSION),
-        },
-    )
+    _write(path, _encode(state, INPUT_VERSION))
 
 
 def load_state(path: str) -> StateVector:
@@ -173,10 +237,7 @@ def load_matrix(path: str) -> np.ndarray:
     cols = _integer(doc.get("cols"), "cols")
     if rows < 1 or cols < 1:
         raise ValueError("matrix file needs positive rows and cols")
-    entries = _array(doc.get("entries"), "entries", version)
-    if entries.size != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
-    return entries.reshape(rows, cols)
+    return _shaped(doc.get("entries"), "entries", version, (rows, cols))
 
 
 def load_channel(path: str) -> KrausChannel:
@@ -186,56 +247,21 @@ def load_channel(path: str) -> KrausChannel:
     raw_kraus = doc.get("kraus")
     if not isinstance(raw_kraus, list) or not raw_kraus:
         raise ValueError("channel file needs a non-empty kraus list")
-    ops = []
-    for idx, raw in enumerate(raw_kraus):
-        flat = _array(raw, f"kraus[{idx}]", version)
-        if flat.size != d_b * d_a:
-            raise ValueError(f"kraus[{idx}] must have {d_b * d_a} entries, got {flat.size}")
-        ops.append(flat.reshape(d_b, d_a))
-    return KrausChannel(input_dim=d_a, output_dim=d_b, kraus=tuple(ops))
+    ops = tuple(
+        _shaped(raw, f"kraus[{idx}]", version, (d_b, d_a)) for idx, raw in enumerate(raw_kraus)
+    )
+    return KrausChannel(input_dim=d_a, output_dim=d_b, kraus=ops)
 
 
 def save_channel(path: str, channel: KrausChannel) -> None:
-    _write(
-        path,
-        {
-            "schema_version": INPUT_VERSION,
-            "input_dim": channel.input_dim,
-            "output_dim": channel.output_dim,
-            "kraus": [_payload(k, INPUT_VERSION) for k in channel.kraus],
-        },
-    )
-
-
-def _protocol_doc(protocol: Protocol, plan: TruncatedMessagePlan | None) -> dict:
-    doc = {
-        "schema_version": RESULT_VERSION,
-        "padded_dim_a": protocol.padded_dim_a,
-        "original_dim_a": protocol.original_dim_a,
-        "dim_b": protocol.dim_b,
-        "swapped": protocol.swapped,
-        "alice_vectors": _payload(protocol.alice_vectors, RESULT_VERSION),
-        "bob_projectors": [
-            None if b is None else _payload(b, RESULT_VERSION) for b in protocol.bob_projectors
-        ],
-        "outcome_probs_psi": protocol.outcome_probs_psi.tolist(),
-        "outcome_probs_phi": protocol.outcome_probs_phi.tolist(),
-        "input_overlap": [protocol.input_overlap.real, protocol.input_overlap.imag],
-        "flatten_residual": protocol.flatten_residual,
-    }
-    if plan is not None:
-        doc["truncation"] = {
-            "kept_outcomes": list(plan.kept_outcomes),
-            "epsilon": plan.epsilon,
-            "bits": plan.bits,
-            "retained_prob_psi": plan.retained_prob_psi,
-            "retained_prob_phi": plan.retained_prob_phi,
-        }
-    return doc
+    _write(path, _encode(channel, INPUT_VERSION))
 
 
 def save_protocol(path: str, protocol: Protocol, plan: TruncatedMessagePlan | None = None) -> None:
-    _write(path, _protocol_doc(protocol, plan))
+    doc = _encode(protocol, RESULT_VERSION)
+    if plan is not None:
+        doc["truncation"] = _encode(plan, None)
+    _write(path, doc)
 
 
 def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
@@ -243,9 +269,7 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
     d_pad = _integer(doc.get("padded_dim_a"), "padded_dim_a")
     d_a = _integer(doc.get("original_dim_a"), "original_dim_a")
     d_b = _integer(doc.get("dim_b"), "dim_b")
-    alice = _array(_required(doc, "alice_vectors"), "alice_vectors", version)
-    if alice.size != d_pad * d_pad:
-        raise ValueError(f"alice_vectors must have {d_pad * d_pad} entries, got {alice.size}")
+    alice = _shaped(_required(doc, "alice_vectors"), "alice_vectors", version, (d_pad, d_pad))
     raw_bobs = _required(doc, "bob_projectors")
     if not isinstance(raw_bobs, list):
         raise ValueError("bob_projectors must be a list")
@@ -260,7 +284,7 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
     (overlap,) = _array([doc.get("input_overlap", [0.0, 0.0])], "input_overlap", 1)
     # The constructor checks the decoders and outcome probabilities against the dimensions.
     protocol = Protocol(
-        alice_vectors=alice.reshape(d_pad, d_pad),
+        alice_vectors=alice,
         bob_projectors=tuple(bobs),
         outcome_probs_psi=_numbers(doc, "outcome_probs_psi"),
         outcome_probs_phi=_numbers(doc, "outcome_probs_phi"),
@@ -294,23 +318,8 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
 
 
 def save_flattening(path: str, result: FlatteningResult) -> None:
-    _write(
-        path,
-        {
-            "schema_version": RESULT_VERSION,
-            "original_dim": result.original_dim,
-            "padded_dim": result.padded_dim,
-            "residual": result.residual,
-            "unitary": _payload(result.unitary, RESULT_VERSION),
-        },
-    )
+    _write(path, _encode(result, RESULT_VERSION))
 
 
 def save_env_code(path: str, code: EnvCode) -> None:
-    doc = {
-        "schema_version": RESULT_VERSION,
-        "encoder_states": [_payload(e, RESULT_VERSION) for e in code.encoder_states],
-        "error_prob": code.error_prob,
-        "protocol": _protocol_doc(code.protocol, None),
-    }
-    _write(path, doc)
+    _write(path, _encode(code, RESULT_VERSION))

@@ -278,13 +278,15 @@ def _refine_kept_subset(order, x, y, goal, prefix_size):
     ``x`` and ``y`` are the two outcome profiles in ``order``.  Searches
     sizes below the greedy prefix size with a depth-first scan in greedy
     order, pruning on the best still-reachable retention for each state
-    (sum of the largest remaining probabilities).
+    and for x + y (sums of the largest remaining probabilities).
     """
     n = len(order)
     if n > _REFINE_MAX_OUTCOMES or prefix_size <= 1:
         return None
-    # A kept set needs as many outcomes as each state's largest ones take to reach the goal.
-    lower = max(_reach(np.cumsum(np.sort(v)[::-1]), goal) for v in (x, y))
+    # A kept set needs as many outcomes as the largest x, y and x + y take to reach
+    # goal, goal and 2 * goal: meeting both goals means x + y carries 2 * goal.
+    bounds = ((x, goal), (y, goal), (x + y, 2.0 * goal))
+    lower = max(_reach(np.cumsum(np.sort(v)[::-1]), g) for v, g in bounds)
     if lower >= prefix_size:
         return None
 
@@ -292,6 +294,7 @@ def _refine_kept_subset(order, x, y, goal, prefix_size):
     # top_x[pos][k]: sum of the k largest x values in order positions pos..n-1.
     top_x = _suffix_top_sums(x, smax)
     top_y = _suffix_top_sums(y, smax)
+    top_xy = _suffix_top_sums(x + y, smax)
     x, y = x.tolist(), y.tolist()
     budget = [_REFINE_NODE_BUDGET]
 
@@ -305,6 +308,9 @@ def _refine_kept_subset(order, x, y, goal, prefix_size):
         if left == 0 or n - pos < left:
             return False
         if top_x[pos][left] < need_x or top_y[pos][left] < need_y:
+            return False
+        # With one goal met, x + y prunes no more than the other state's own table.
+        if need_x > 0.0 and need_y > 0.0 and top_xy[pos][left] < need_x + need_y:
             return False
         chosen.append(order[pos])
         if search(pos + 1, left - 1, need_x - x[pos], need_y - y[pos], chosen):

@@ -472,6 +472,14 @@ class TestFlatten:
         proc = run_cli("flatten", m_path)
         assert proc.returncode == 1
 
+    def test_non_square_matrix_names_its_own_shape(self, tmp_path):
+        m_path = str(tmp_path / "m.json")
+        formats.save_matrix(m_path, np.ones((2, 3), dtype=np.complex128))
+        proc = run_cli("flatten", m_path)
+        assert proc.returncode == 1
+        assert "(2, 3)" in proc.stderr
+        assert "(1, 2, 3)" not in proc.stderr
+
     def test_huge_entries_keep_a_finite_bound(self, tmp_path):
         # |M|_F squared the entries and overflowed, so the check read bound=inf.
         m_path = str(tmp_path / "m.json")

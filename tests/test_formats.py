@@ -272,6 +272,74 @@ class TestResultFiles:
         assert doc["protocol"]["padded_dim_a"] == code.protocol.padded_dim_a
 
 
+PROTOCOL_KEYS = [
+    "schema_version",
+    "padded_dim_a",
+    "original_dim_a",
+    "dim_b",
+    "swapped",
+    "alice_vectors",
+    "bob_projectors",
+    "outcome_probs_psi",
+    "outcome_probs_phi",
+    "input_overlap",
+    "flatten_residual",
+]
+
+
+class TestDocumentKeyOrder:
+    """Every writer's keys, nested ones included, in the order the files hold them."""
+
+    def test_every_written_document_keeps_its_key_order(self, tmp_path):
+        from loccsynth import build_env_code
+
+        psi, phi = random_orthogonal_pair(np.random.default_rng(615), (3, 2))
+        protocol = synthesize(psi, phi)
+        channel = KrausChannel(2, 3, tuple(random_kraus_ops(np.random.default_rng(616), 2, 3, 2)))
+        m = np.arange(9.0).reshape(3, 3) + 1j
+        writes = {
+            "state": (formats.save_state, psi),
+            "matrix": (formats.save_matrix, m),
+            "channel": (formats.save_channel, channel),
+            "protocol": (formats.save_protocol, protocol),
+            "flattening": (formats.save_flattening, uflatgen(m)),
+            "env_code": (formats.save_env_code, build_env_code(channel)),
+        }
+        docs = {}
+        for name, (save, value) in writes.items():
+            save(str(tmp_path / name), value)
+            docs[name] = read_json(tmp_path / name)
+        formats.save_protocol(str(tmp_path / "plan"), protocol, epsilon_truncate(protocol, 0.3))
+        planned = read_json(tmp_path / "plan")
+
+        assert list(docs["state"]) == ["schema_version", "dims", "amplitudes"]
+        assert list(docs["matrix"]) == ["schema_version", "rows", "cols", "entries"]
+        assert list(docs["channel"]) == ["schema_version", "input_dim", "output_dim", "kraus"]
+        assert list(docs["protocol"]) == PROTOCOL_KEYS
+        assert list(planned) == PROTOCOL_KEYS + ["truncation"]
+        assert list(planned["truncation"]) == [
+            "kept_outcomes",
+            "epsilon",
+            "bits",
+            "retained_prob_psi",
+            "retained_prob_phi",
+        ]
+        assert list(docs["flattening"]) == [
+            "schema_version",
+            "original_dim",
+            "padded_dim",
+            "residual",
+            "unitary",
+        ]
+        assert list(docs["env_code"]) == [
+            "schema_version",
+            "encoder_states",
+            "error_prob",
+            "protocol",
+        ]
+        assert list(docs["env_code"]["protocol"]) == PROTOCOL_KEYS
+
+
 def encode(values, version):
     """A complex array field as version 1 [re, im] pairs or version 2 base64 <c16 bytes."""
     z = np.asarray(values, dtype=np.complex128).reshape(-1)

@@ -301,6 +301,27 @@ class TestEpsilonTruncate:
         assert plan.retained_prob_psi >= 0.5
         assert plan.retained_prob_phi >= 0.5
 
+    def test_small_budget_still_reaches_a_smallest_set(self, monkeypatch):
+        # Trials 52, 83 and 181 (16 outcomes each) find their smallest set within
+        # 200 nodes only with the bound on x + y; on x and y apart they keep all 16.
+        monkeypatch.setattr(synthesis, "_REFINE_NODE_BUDGET", 200)
+        rng = np.random.default_rng(2024)
+        kept, smallest = [], []
+        for _ in range(200):
+            n = rng.integers(12, 17)
+            p_psi = rng.random(n) ** 3
+            p_phi = rng.random(n) ** 3
+            p_psi, p_phi = p_psi / p_psi.sum(), p_phi / p_phi.sum()
+            plan = epsilon_truncate(make_probs_protocol(p_psi, p_phi), 0.05)
+            kept.append(len(plan.kept_outcomes))
+            # Every subset at once, one row of 0/1 weights per subset.
+            masks = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+            meets = (masks @ p_psi >= 0.95) & (masks @ p_phi >= 0.95)
+            smallest.append(int(masks[meets].sum(axis=1).min()))
+        assert [smallest[t] for t in (52, 83, 181)] == [15, 13, 12]
+        assert [kept[t] for t in (52, 83, 181)] == [15, 13, 12]
+        assert kept == smallest
+
     def test_more_outcomes_than_the_search_takes_keep_the_prefix(self):
         # The profile above, padded with empty outcomes past the search's 256.
         p_psi = [0.1126, 0.1938, 0.129, 0.0533, 0.0833, 0.047, 0.1359, 0.2452] + [0.0] * 292
