@@ -12,7 +12,6 @@ zero-error classical coding through a channel whose environment helps.
 from .envcode import (
     EnvCode,
     KrausChannel,
-    StinespringIsometry,
     build_env_code,
     stinespring,
 )
@@ -25,10 +24,6 @@ from .linalg import (
     NonOrthogonalInputError,
     NotNormalizedError,
     StateVector,
-    adjoint,
-    matmul,
-    unvec,
-    vec,
 )
 from .simulator import (
     VerificationReport,
@@ -62,16 +57,13 @@ __all__ = [
     "NotNormalizedError",
     "Protocol",
     "StateVector",
-    "StinespringIsometry",
     "TAU_NORM",
     "TAU_ORTH",
     "TAU_ZERO",
     "TruncatedMessagePlan",
     "VerificationReport",
-    "adjoint",
     "build_env_code",
     "epsilon_truncate",
-    "matmul",
     "multipartite_success_probability",
     "overlap_matrix",
     "sample_run",
@@ -81,7 +73,5 @@ __all__ = [
     "synthesize_multipartite",
     "uflat2",
     "uflatgen",
-    "unvec",
-    "vec",
     "verify_flat",
 ]

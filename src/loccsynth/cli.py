@@ -147,15 +147,15 @@ def _random_orthogonal_pair(rng, dims) -> tuple[StateVector, StateVector]:
     return psi, StateVector(tuple(dims), raw / np.linalg.norm(raw))
 
 
-def _bench_case(operation: str, d: int, dim_a: int, seed: int):
+def _bench_case(operation: str, d: int, seed: int):
     rng = np.random.default_rng([seed, d])
     if operation == "flatten":
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         m -= np.trace(m) / d * np.eye(d)
         return lambda: uflatgen(m)
     if operation == "overlap":
-        psi = _random_state(rng, (dim_a, d))
-        phi = _random_state(rng, (dim_a, d))
+        psi = _random_state(rng, (8, d))
+        phi = _random_state(rng, (8, d))
         return lambda: overlap_matrix(psi, phi)
     psi, phi = _random_orthogonal_pair(rng, (d, d))
     return lambda: synthesize(psi, phi)
@@ -173,7 +173,7 @@ def cmd_bench(args) -> int:
     if not steps:
         return _fail("sizes must contain at least one consecutive doubling step", 1)
 
-    runs = [_bench_case(operation, d, args.dim_a, args.seed) for d in sizes]
+    runs = [_bench_case(operation, d, args.seed) for d in sizes]
     for run in runs:
         run()  # warmup
     # Repeats go round-robin across the sizes so that a slow spell on the host
@@ -290,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the gate compares each size's minimum",
     )
     p_ben.add_argument("--seed", type=int, default=DEFAULT_SEED, help="input generation seed")
-    p_ben.add_argument(
-        "--dim-a", type=int, default=8, help="fixed first-factor dimension for overlap"
-    )
     p_ben.add_argument("--out", help="also write the record lines to this JSONL file")
     p_ben.set_defaults(func=cmd_bench)
     return parser

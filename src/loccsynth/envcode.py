@@ -67,22 +67,6 @@ class KrausChannel:
 
 
 @dataclass(frozen=True)
-class StinespringIsometry:
-    """Isometry V from the input space into output tensor environment.
-
-    Row index is ``j * d_E + k`` for output basis j and environment basis
-    k, so tracing out the environment of V rho V* recovers the channel.
-    """
-
-    v: np.ndarray
-    output_dim: int
-    env_dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", frozen(as_complex_array(self.v, "isometry")))
-
-
-@dataclass(frozen=True)
 class EnvCode:
     """A zero-error one-bit code assisted by the channel environment.
 
@@ -96,15 +80,18 @@ class EnvCode:
     error_prob: float
 
 
-def stinespring(channel: KrausChannel) -> StinespringIsometry:
-    """Dilate a channel to an isometry by stacking its Kraus operators."""
-    d_a = channel.input_dim
-    d_b = channel.output_dim
+def stinespring(channel: KrausChannel) -> np.ndarray:
+    """Dilate a channel to an isometry V by stacking its Kraus operators.
+
+    V is (d_B * d_E) x d_A.  Row index is ``j * d_E + k`` for output basis j
+    and environment basis k, so tracing out the environment of V rho V*
+    recovers the channel.
+    """
     d_e = channel.env_dim
-    v = np.zeros((d_b * d_e, d_a), dtype=np.complex128)
+    v = np.zeros((channel.output_dim * d_e, channel.input_dim), dtype=np.complex128)
     for k, op in enumerate(channel.kraus):
         v[k::d_e, :] = op
-    return StinespringIsometry(v=v, output_dim=d_b, env_dim=d_e)
+    return v
 
 
 def _checked_encoders(channel: KrausChannel, encoder_states) -> tuple[np.ndarray, np.ndarray]:
@@ -131,13 +118,13 @@ def build_env_code(channel: KrausChannel, encoder_states=None) -> EnvCode:
             f"cannot encode a bit through input dimension {channel.input_dim}; need >= 2"
         )
     e0, e1 = _checked_encoders(channel, encoder_states)
-    iso = stinespring(channel)
-    word0 = iso.v @ e0
-    word1 = iso.v @ e1
+    v = stinespring(channel)
+    word0 = v @ e0
+    word1 = v @ e1
 
     # Reorder from (output, environment) to (environment, output) so the
     # environment occupies the measuring slot.
-    d_b, d_e = iso.output_dim, iso.env_dim
+    d_b, d_e = channel.output_dim, channel.env_dim
     psi = StateVector((d_e, d_b), word0.reshape(d_b, d_e).T.reshape(-1))
     phi = StateVector((d_e, d_b), word1.reshape(d_b, d_e).T.reshape(-1))
     protocol = synthesize(psi, phi, swap_roles=False)

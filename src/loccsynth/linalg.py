@@ -36,7 +36,7 @@ class NonOrthogonalInputError(ValueError):
 def as_complex_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     # isfinite on complex checks both components, and unlike a float64
-    # reinterpret it tolerates non-contiguous views (e.g. unvec output).
+    # reinterpret it tolerates non-contiguous views (e.g. a transpose).
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -116,50 +116,3 @@ def check_basis(name: str, basis: np.ndarray, padded: int, original: int, suffix
             f"{name} of shape {basis.shape} does not fit padded_dim{suffix} {padded} "
             f"and original_dim{suffix} {original}"
         )
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatchError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise DimensionMismatchError("adjoint expects a 2-D operand")
-    return a.conj().T
-
-
-def unvec(state: StateVector) -> np.ndarray:
-    """Reshape a bipartite state into its coefficient matrix.
-
-    Returns the d_B x d_A matrix M with ``M[j, i] = amplitudes[i * d_B + j]``,
-    i.e. the state equals ``sum_ij M[j, i] |j><i|`` read as an operator from
-    the A factor to the B factor.  This is a constant-time view.
-    """
-    if len(state.dims) != 2:
-        raise DimensionMismatchError(f"unvec expects a bipartite state, got dims {state.dims}")
-    d_a, d_b = state.dims
-    return state.amplitudes.reshape(d_a, d_b).T
-
-
-def vec(matrix: np.ndarray, dims: tuple[int, int] | None = None) -> StateVector:
-    """Inverse of :func:`unvec`: fold a d_B x d_A matrix back into a state.
-
-    No norm check is applied; intermediate vectors may be unnormalized.
-    """
-    m = as_complex_array(matrix, "matrix")
-    if m.ndim != 2:
-        raise DimensionMismatchError("vec expects a 2-D matrix")
-    d_b, d_a = m.shape
-    if dims is not None and tuple(dims) != (d_a, d_b):
-        raise DimensionMismatchError(f"matrix shape {m.shape} does not match dims {dims}")
-    return StateVector((d_a, d_b), m.T.reshape(-1))
-

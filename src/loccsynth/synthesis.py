@@ -136,7 +136,7 @@ class MultipartiteProtocol:
 
 
 def overlap_matrix(psi: StateVector, phi: StateVector) -> np.ndarray:
-    """Conditional-overlap matrix M = adjoint(unvec(phi)) @ unvec(psi).
+    """Conditional-overlap matrix M = conj(m_phi) @ m_psi^T of the (d_A, d_B) amplitude matrices.
 
     Entry (i_prime, i) is the inner product of the two parties' conditional
     states <phi^(i_prime) | psi^(i)>, where the conditional at i is the

@@ -46,19 +46,6 @@ def random_kraus_ops(rng: np.random.Generator, d_a: int, d_b: int, n_k: int):
     return [q[k::n_k, :] for k in range(n_k)]
 
 
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise sum-of-products, deliberately index by index."""
-    rows, inner = a.shape
-    _, cols = b.shape
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0 + 0.0j
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
 
 def conditional_slice(state: StateVector, i: int) -> np.ndarray:
     """Unnormalized second-factor state after projecting the first onto |i>."""

@@ -28,7 +28,6 @@ from loccsynth import (
     NonOrthogonalInputError,
     Protocol,
     StateVector,
-    adjoint,
     build_env_code,
     epsilon_truncate,
     multipartite_success_probability,
@@ -37,7 +36,6 @@ from loccsynth import (
     synthesize,
     synthesize_multipartite,
     uflatgen,
-    unvec,
     verify_flat,
 )
 
@@ -137,8 +135,8 @@ def test_criterion_06_first_factor_rotations_act_by_right_multiplication():
         rotated = StateVector(
             (d_a, d_b), (np.conj(u) @ psi.amplitudes.reshape(d_a, d_b)).reshape(-1)
         )
-        lhs = unvec(rotated)
-        rhs = unvec(psi) @ adjoint(u)
+        lhs = rotated.amplitudes.reshape(d_a, d_b).T
+        rhs = psi.amplitudes.reshape(d_a, d_b).T @ u.conj().T
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 

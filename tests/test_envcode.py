@@ -74,18 +74,18 @@ class TestKrausChannel:
 
 class TestStinespring:
     def test_identity_channel_dilates_trivially(self):
-        iso = stinespring(identity_channel())
-        assert iso.env_dim == 1
-        assert np.array_equal(iso.v, np.eye(2))
+        channel = identity_channel()
+        assert channel.env_dim == 1
+        assert np.array_equal(stinespring(channel), np.eye(2))
 
     def test_dephasing_copies_basis_to_environment(self):
-        iso = stinespring(dephasing_channel())
+        v = stinespring(dephasing_channel())
         want = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=np.complex128)
-        assert np.array_equal(iso.v, want)
+        assert np.array_equal(v, want)
 
     def test_isometry_property(self):
         for channel in (identity_channel(), dephasing_channel(), damping_channel()):
-            v = stinespring(channel).v
+            v = stinespring(channel)
             assert np.max(np.abs(v.conj().T @ v - np.eye(channel.input_dim))) <= 1e-12
 
     def test_dilation_reproduces_channel(self):
@@ -97,11 +97,11 @@ class TestStinespring:
             n_k = max(int(rng.integers(1, 4)), -(-d_a // d_b))
             channels.append(KrausChannel(d_a, d_b, tuple(random_kraus_ops(rng, d_a, d_b, n_k))))
         for channel in channels:
-            iso = stinespring(channel)
+            v = stinespring(channel)
             state = random_state(rng, (channel.input_dim,))
             rho = np.outer(state.amplitudes, state.amplitudes.conj())
-            dilated = iso.v @ rho @ iso.v.conj().T
-            recovered = trace_out_env(dilated, iso.output_dim, iso.env_dim)
+            dilated = v @ rho @ v.conj().T
+            recovered = trace_out_env(dilated, channel.output_dim, channel.env_dim)
             direct = channel_action(channel, rho)
             assert np.max(np.abs(recovered - direct)) <= 1e-10
 

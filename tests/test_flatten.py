@@ -8,7 +8,6 @@ from loccsynth import (
     TAU_ZERO,
     DimensionMismatchError,
     FlatteningResult,
-    adjoint,
     uflat2,
     uflatgen,
     verify_flat,
@@ -36,13 +35,13 @@ class TestUflat2:
         assert np.allclose(u[:, 0], [S, S], atol=1e-12)
         # The second column is fixed only up to a global phase.
         assert abs(np.vdot(u[:, 1], [S, -S])) == pytest.approx(1.0, abs=1e-12)
-        flat = adjoint(u) @ m @ u
+        flat = u.conj().T @ m @ u
         assert np.max(np.abs(np.diagonal(flat))) <= 1e-12
 
     def test_rank_one_projector(self):
         m = np.array([[2.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
         u = uflat2(m)
-        flat = adjoint(u) @ m @ u
+        flat = u.conj().T @ m @ u
         assert np.allclose(np.diagonal(flat), [1.0, 1.0], atol=1e-12)
 
     def test_zero_matrix(self):
@@ -131,7 +130,7 @@ class TestUflatgen:
             m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             # uflat2 returns columns; the general routine accumulates the
             # adjoint so its rows are the measurement basis.
-            assert np.allclose(uflatgen(m).unitary, adjoint(uflat2(m)), atol=1e-12)
+            assert np.allclose(uflatgen(m).unitary, uflat2(m).conj().T, atol=1e-12)
 
     def test_sign_matrix_rows(self):
         result = uflatgen(np.diag([1.0, -1.0]).astype(np.complex128))

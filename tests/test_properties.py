@@ -16,7 +16,6 @@ from loccsynth import (
     TAU_ORTH,
     FlatteningResult,
     StateVector,
-    adjoint,
     success_probability,
     synthesize,
     uflat2,
@@ -79,7 +78,7 @@ class TestFillmore:
     @example(np.array([[1e160, 2e160], [-1e160, 3e159]], dtype=np.complex128))  # products overflow
     def test_uflat2(self, m):
         # uflat2's columns are the basis; the result stores it as rows.
-        result = FlatteningResult(unitary=adjoint(uflat2(m)), padded_dim=2, original_dim=2, residual=0.0)
+        result = FlatteningResult(unitary=uflat2(m).conj().T, padded_dim=2, original_dim=2, residual=0.0)
         _assert_flat(m, result)
 
     @SETTINGS
