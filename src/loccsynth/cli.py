@@ -81,7 +81,8 @@ def _verification_problem(report, plan) -> str | None:
     plan's epsilon is a claim, not a discount: every kept outcome that
     occurs must succeed with conditional probability 1 - 1e-9, and the kept
     outcomes, weighed from the states, must carry mass 1 - epsilon under
-    both hypotheses.
+    both hypotheses.  The plan's bits must be 1 + ceil(log2 k) for its k kept
+    outcomes, and its retained masses must match that weighed mass to 1e-9.
     """
     if plan is None:
         if not report.success_prob >= 1.0 - SUCCESS_TOLERANCE:
@@ -100,6 +101,14 @@ def _verification_problem(report, plan) -> str | None:
             f"kept outcomes carry mass {mass_psi:.12f} under psi and {mass_phi:.12f} "
             f"under phi, below 1 - epsilon = {1.0 - plan.epsilon}"
         )
+    # Derived here, not imported from synthesis, so a wrong rule there shows.
+    k = len(plan.kept_outcomes)
+    if plan.bits != (k - 1).bit_length() + 1:
+        return f"truncation.bits is {plan.bits}, but {k} kept outcomes cost 1 + ceil(log2 {k})"
+    claimed = (plan.retained_prob_psi, plan.retained_prob_phi)
+    for name, retained, mass in zip(("psi", "phi"), claimed, report.kept_mass):
+        if not abs(retained - mass) <= SUCCESS_TOLERANCE:
+            return f"truncation.retained_prob_{name} is {retained!r}, but the kept mass is {mass!r}"
     return None
 
 

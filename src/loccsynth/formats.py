@@ -298,19 +298,21 @@ def load_protocol(path: str) -> tuple[Protocol, TruncatedMessagePlan | None]:
     plan = None
     raw_plan = doc.get("truncation")
     if raw_plan is not None:
+        if not isinstance(raw_plan, dict):
+            raise ValueError(f"truncation must be an object, got {raw_plan!r}")
         epsilon, retained_psi, retained_phi = (
             _number(_required(raw_plan, key, "truncation."), f"truncation.{key}")
             for key in ("epsilon", "retained_prob_psi", "retained_prob_phi")
         )
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"truncation epsilon must lie in (0, 1], got {epsilon}")
-        kept = raw_plan.get("kept_outcomes")
+        kept = _required(raw_plan, "kept_outcomes", "truncation.")
         if not isinstance(kept, list):
             raise ValueError("truncation needs a kept_outcomes list")
         plan = TruncatedMessagePlan(
             kept_outcomes=tuple(_integer(i, f"kept_outcomes[{idx}]") for idx, i in enumerate(kept)),
             epsilon=epsilon,
-            bits=_integer(raw_plan.get("bits"), "bits"),
+            bits=_integer(_required(raw_plan, "bits", "truncation."), "bits"),
             retained_prob_psi=retained_psi,
             retained_prob_phi=retained_phi,
         )

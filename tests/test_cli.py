@@ -285,6 +285,21 @@ class TestVerify:
         report = json.loads(proc.stdout)
         assert abs(report["success_prob"] - 0.5) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("bits", 5), ("retained_prob_psi", 1.0), ("retained_prob_phi", 0.25)],
+    )
+    def test_plan_figures_that_are_not_its_own_exit_3(self, bell_files, tmp_path, key, value):
+        # The Bell plan at epsilon 0.6 keeps one outcome (1 bit) of mass 1/2; verify
+        # used to pass the plan whatever bits and retained masses it declared.
+        psi_path, phi_path = bell_files
+        out = str(tmp_path / "protocol.json")
+        assert run_cli("synthesize", psi_path, phi_path, "--epsilon", "0.6", "--out", out).returncode == 0
+        _edit_json(out, ["truncation", key], value)
+        proc = run_cli("verify", psi_path, phi_path, out)
+        assert proc.returncode == 3
+        assert f"truncation.{key}" in proc.stderr
+
 
 def _edit_json(path, keys, value):
     """Set doc[keys[0]][keys[1]]... to value, or delete it when value is None."""
@@ -413,6 +428,18 @@ class TestTypedProtocolFields:
         assert "original_dim_a 3" in proc.stderr and "padded_dim_a 2" in proc.stderr
         assert "matmul" not in proc.stderr
 
+    @pytest.mark.parametrize("value", [5, [1], "x"])
+    def test_truncation_that_is_not_an_object_exit_1(self, bell_files, tmp_path, value):
+        # 5 used to fail as "argument of type 'int' is not iterable", and [1] and
+        # "x" as a missing truncation.epsilon.
+        psi_path, phi_path = bell_files
+        out = str(tmp_path / "protocol.json")
+        formats.save_protocol(out, synthesize(*bell_pair()))
+        _edit_json(out, ["truncation"], value)
+        proc = run_cli("verify", psi_path, phi_path, out)
+        assert proc.returncode == 1
+        assert f"truncation must be an object, got {value!r}" in proc.stderr
+
 
 class TestMissingFields:
     @pytest.mark.parametrize(
@@ -425,6 +452,8 @@ class TestMissingFields:
             ["truncation", "epsilon"],
             ["truncation", "retained_prob_psi"],
             ["truncation", "retained_prob_phi"],
+            ["truncation", "bits"],
+            ["truncation", "kept_outcomes"],
         ],
     )
     def test_protocol_field_exit_1(self, bell_files, tmp_path, keys):

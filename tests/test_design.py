@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import loccsynth
+
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "loccsynth"
 
 
@@ -33,3 +35,64 @@ def test_no_source_line_is_longer_than_100_characters():
         if len(line) > 100
     ]
     assert long_lines == []
+
+
+PUBLIC_NAMES = [
+    "BranchNode",
+    "DimensionMismatchError",
+    "EnvCode",
+    "FlatteningResult",
+    "GuessLeaf",
+    "KrausChannel",
+    "MultipartiteProtocol",
+    "NonOrthogonalInputError",
+    "NotNormalizedError",
+    "Protocol",
+    "StateVector",
+    "TAU_NORM",
+    "TAU_ORTH",
+    "TAU_ZERO",
+    "TruncatedMessagePlan",
+    "VerificationReport",
+    "build_env_code",
+    "epsilon_truncate",
+    "multipartite_success_probability",
+    "overlap_matrix",
+    "sample_run",
+    "stinespring",
+    "success_probability",
+    "synthesize",
+    "synthesize_multipartite",
+    "uflat2",
+    "uflatgen",
+    "verify_flat",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    # A name joins or leaves the interface only by editing this list.
+    assert sorted(loccsynth.__all__) == loccsynth.__all__ == PUBLIC_NAMES
+    assert [name for name in PUBLIC_NAMES if not hasattr(loccsynth, name)] == []
+
+
+def _imported_names(tree):
+    """(lineno, bound name) for each import in a module, less ``__future__`` ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.asname or a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, a.asname or a.name) for a in node.names)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__ only re-exports, so what it imports must be exactly its __all__.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = list(_imported_names(tree))
+        if path.name == "__init__.py":
+            assert sorted(name for _, name in imported) == sorted(loccsynth.__all__)
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for line, name in imported if name not in used]
+    assert unused == []
