@@ -29,8 +29,9 @@ from .synthesis import epsilon_truncate, overlap_matrix, synthesize
 SUCCESS_TOLERANCE = 1e-9
 DEFAULT_SEED = 1234
 # Per operation: the default sizes, where the stated cost dominates the fixed
-# per-call and per-layer cost (flatten O(d^2 log d), synthesize
-# O(d_A^2 d_B + d^2 log d)), and the window for the largest doubling step's ratio.
+# per-call and per-layer cost (flatten O(d^2 log d), overlap O(d) on (8, d) pairs,
+# synthesize O(d_A^2 d_B + d^2 log d)), and the window for the largest doubling
+# step's ratio.
 _BENCH_CASES = {
     "flatten": ((128, 256, 512), (3.0, 6.0)),
     "overlap": ((16384, 32768, 65536), (1.6, 2.6)),
