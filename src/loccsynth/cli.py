@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import statistics
@@ -305,8 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on the first call, then kept for the life of the process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NonOrthogonalInputError as exc:

@@ -6,7 +6,9 @@ to the next power of two.  For a 2x2 the unitary is written down from the
 numerical range of M in closed form, with no eigenvectors; larger sizes
 are handled by pairing diagonal entries layer by layer, butterfly style,
 so exactly ceil(log2 d) layers run and each layer only ever solves
-independent 2x2 subproblems.
+independent 2x2 subproblems.  The loop keeps the one-sided product
+U M_pad, so a layer is one rotation of its paired rows; the 2x2 entries of
+U M_pad U* that the next layer needs are read from it and from U's blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class FlatteningResult:
 
     ``unitary`` is d_pad x d_pad; ``residual`` is the max deviation of the
     transformed diagonal from tr(M) / d_pad, measured on the incrementally
-    updated matrix.  Use :func:`verify_flat` for an independent check.
+    updated product U M_pad.  Use :func:`verify_flat` for an independent check.
     Construction checks the unitary's shape against the dimensions.
     """
 
@@ -91,15 +93,6 @@ def uflat2(m: np.ndarray) -> np.ndarray:
     return np.array([[u0[0], v0[0]], [u1[0], v1[0]]], dtype=np.complex128)
 
 
-def _mix_pairs(a: np.ndarray, b: np.ndarray, c00, c01, c10, c11) -> None:
-    """Overwrite the paired slices (a, b) with (c00 a + c01 b, c10 a + c11 b)."""
-    new_b = c10 * a
-    new_b += c11 * b
-    a *= c00
-    a += c01 * b
-    b[...] = new_b
-
-
 def uflatgen(
     m: np.ndarray, on_layer: Callable[[int, np.ndarray], None] | None = None
 ) -> FlatteningResult:
@@ -107,15 +100,16 @@ def uflatgen(
 
     M is zero padded there to d_pad = 2**ceil(log2 d), the only padding in
     the package: callers hand over unpadded matrices and read d_pad from
-    the result, whose unitary is d_pad x d_pad.  ``on_layer``
-    is called with (p, current matrix) after each layer, for
-    instrumentation; the matrix is the live working array, which later
-    layers overwrite, so a callback that keeps it must copy it.
+    the result, whose unitary is d_pad x d_pad.  ``on_layer`` is called
+    with (p, product) after each layer, for instrumentation: a read-only
+    (d_pad, d) view of the live product U M_pad[:, :d] with U the unitary
+    built so far, which later layers overwrite, so a callback that keeps
+    it must copy it.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or len(m) < 2:
         raise DimensionMismatchError(f"uflatgen expects a square matrix >= 2 x 2, got {m.shape}")
-    hook = None if on_layer is None else lambda p, cur: on_layer(p, cur[0])
+    hook = None if on_layer is None else lambda p, prod: on_layer(p, prod[0])
     (u,), (residual,) = uflatgen_stack(m[None], hook)
     return FlatteningResult(u, len(u), len(m), float(residual))
 
@@ -131,11 +125,14 @@ def uflatgen_stack(
     diagonal positions i and i + 2**p within aligned blocks of width
     2**(p + 1) and equalizes each pair with :func:`uflat2`; after the last
     layer every diagonal entry of U M_pad U* equals tr(M) / d_pad.  Each
-    layer is a direct sum of 2x2 rotations on disjoint index pairs, so it is
-    applied to the paired rows and columns in place, O(d_pad^2) per layer
-    and matrix, every matrix of the stack at once.  d = 1 runs no layer and
-    gives the 1 x 1 identity with residual 0.  ``on_layer`` is called
-    with (p, current (B, d_pad, d_pad) stack) after each layer.
+    layer L is a direct sum of 2x2 rotations on disjoint index pairs.  The
+    loop keeps P = U M_pad, not U M_pad U*: a layer rotates P's paired rows
+    in place (P <- L* P), O(d_pad d) per layer and matrix, every matrix of
+    the stack at once, and reads the pairs' 2x2 entries of U M_pad U* from
+    P and the blocks of U.  d = 1 runs no layer and gives the 1 x 1 identity
+    with residual 0.  ``on_layer`` is called with (p, product) after each
+    layer, where the product is a read-only (B, d_pad, d) view of the live P
+    (P's columns past d are zero).
     """
     ms = as_complex_array(ms, "matrices")
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
@@ -146,8 +143,14 @@ def uflatgen_stack(
 
     k = (d - 1).bit_length()
     n = 1 << k
-    cur = np.zeros((b, n, n), dtype=np.complex128)
-    cur[:, :d, :d] = ms
+    # P = U M_pad, where U is the unitary built so far.  M_pad is zero past
+    # column d and so is P: only P's first d columns are rotated, in rows of
+    # width n whose zero tail lets each diagonal block of P be read whole.
+    work = np.zeros((b, n, n), dtype=np.complex128)
+    prod = work[:, :, :d]
+    prod[:, :d] = ms
+    payload = prod.view()
+    payload.setflags(write=False)
     target = np.trace(ms, axis1=1, axis2=2) / n
 
     # Before layer p each accumulated unitary is block diagonal with blocks
@@ -156,34 +159,35 @@ def uflatgen_stack(
     for p in range(k):
         step = 1 << p
         pairs = n >> (p + 1)
-        base = np.arange(pairs) << (p + 1)
-        ii = (base[:, None] + np.arange(step)[None, :]).reshape(-1)
-        jj = ii + step
-        u0, u1, v0, v1 = _uflat2_batch(
-            cur[:, ii, ii], cur[:, ii, jj], cur[:, jj, ii], cur[:, jj, jj]
+        # Entry (i, j) of X = U M_pad U* is row i of P against conj(row j of U),
+        # and row j of U is zero outside its block.  So for i = (2q + a) step + r
+        # and j = (2q + c) step + r, X[i, j] is row i of P's diagonal block q
+        # against conj(row r of U's block 2q + c): x[:, a, c] is (B, pairs, step).
+        x = np.einsum(
+            "bqarqcs,bqcrs->bacqr",
+            work.reshape(b, pairs, 2, step, pairs, 2, step),
+            blocks.reshape(b, pairs, 2, step, step).conj(),
         )
-        # cur <- L* cur L, where L has columns u0 e_i + u1 e_j and v0 e_i + v1 e_j
-        # on each pair (i, j): mix the paired columns, then the paired rows.
-        cols = cur.reshape(b, n, pairs, 2, step)
-        c = [x.reshape(b, 1, pairs, step) for x in (u0, u1, v0, v1)]
-        _mix_pairs(cols[:, :, :, 0], cols[:, :, :, 1], *c)
-        rows = cur.reshape(b, pairs, 2, step, n)
-        r = [x.conj().reshape(b, pairs, step, 1) for x in (u0, u1, v0, v1)]
-        _mix_pairs(rows[:, :, 0], rows[:, :, 1], *r)
-        # U <- L* U: row i of the merged block is conj(u0) row i of the left
-        # block beside conj(u1) row j of the right one, row j likewise with v.
-        halves = blocks.reshape(b, pairs, 2, step, step)
-        merged = np.empty((b, pairs, 2 * step, 2 * step), dtype=np.complex128)
-        merged[:, :, :step, :step] = r[0] * halves[:, :, 0]
-        merged[:, :, :step, step:] = r[1] * halves[:, :, 1]
-        merged[:, :, step:, :step] = r[2] * halves[:, :, 0]
-        merged[:, :, step:, step:] = r[3] * halves[:, :, 1]
-        blocks = merged
+        u0, u1, v0, v1 = _uflat2_batch(x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1])
+        # L has columns u0 e_i + u1 e_j and v0 e_i + v1 e_j on each pair (i, j);
+        # entry (a, c) of its 2x2 adjoint is lstar[a, c], a (B, pairs, step) array.
+        lstar = np.array([[u0, u1], [v0, v1]]).conj()
+        # P <- L* P: one batched 2x2 product on the paired rows of P's first d columns.
+        rows = work.reshape(b, pairs, 2, step, n)[..., :d].swapaxes(2, 3)
+        rows[...] = lstar.transpose(2, 3, 4, 0, 1) @ rows
+        # U <- L* U: in the merged block, row a step + r holds lstar[a, c] times
+        # row r of block c, for c = 0 (left) and 1 (right).  Written into a
+        # C-ordered array, so that the next layer's reshape is a view, not a copy.
+        halves = blocks.reshape(b, pairs, 2, step, step).swapaxes(2, 3)
+        blocks = np.empty((b, pairs, 2, step, 2, step), dtype=np.complex128)
+        np.multiply(lstar.transpose(2, 3, 0, 4, 1)[..., None], halves[:, :, None], out=blocks)
         if on_layer is not None:
-            on_layer(p, cur)
+            on_layer(p, payload)
 
-    deviation = np.abs(np.diagonal(cur, axis1=1, axis2=2) - target[:, None])
-    return blocks[:, 0], np.max(deviation, axis=1)
+    unitaries = blocks.reshape(b, n, n)
+    diagonal = np.einsum("bik,bik->bi", prod, unitaries[:, :, :d].conj())
+    deviation = np.abs(diagonal - target[:, None])
+    return unitaries, np.max(deviation, axis=1)
 
 
 def verify_flat(m: np.ndarray, result: FlatteningResult) -> float:

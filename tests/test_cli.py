@@ -649,6 +649,25 @@ class TestUsage:
         assert main(["flatten", m_path]) == 0
         assert "flattened" in capsys.readouterr().out
 
+    def test_consecutive_main_calls_behave_like_fresh_ones(self, bell_files, tmp_path, capsys):
+        # main keeps one parser per process, so no call may see the arguments,
+        # the subcommand or the usage error of the call before it.
+        psi_path, phi_path = bell_files
+        m_path = str(tmp_path / "m.json")
+        formats.save_matrix(m_path, np.diag([1.0, -1.0]).astype(np.complex128))
+        assert cli.main(["synthesize", psi_path, phi_path, "--epsilon", "0.6"]) == 0
+        assert "kept=1 bits=1" in capsys.readouterr().out
+        assert cli.main(["synthesize", psi_path, phi_path]) == 0
+        assert capsys.readouterr().out == run_cli("synthesize", psi_path, phi_path).stdout
+        assert cli.main(["flatten", m_path]) == 0
+        flattened = capsys.readouterr().out
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["flatten", m_path, "--epsilon", "0.6"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert cli.main(["flatten", m_path]) == 0
+        assert capsys.readouterr().out == flattened == run_cli("flatten", m_path).stdout
+
     def test_help_lists_subcommands(self):
         proc = run_cli("--help")
         assert proc.returncode == 0

@@ -93,8 +93,9 @@ class TestUflat2:
             mats.append(np.array(entries, dtype=np.complex128))
         # Lane z is the zero matrix, whose rotation is the identity.  Coupling
         # every lane k to it by an identity block makes block (k, z) of the
-        # layer-0 output read U_k*, so each lane's unitary comes out of the
-        # same call.  The coupling blocks are not read by the 2x2 kernel.
+        # layer-0 product U M_pad read U_k*, so each lane's unitary comes out
+        # of the same call, and block (k, k) reads U_k* M_k.  The coupling
+        # blocks are not read by the 2x2 kernel.
         z = len(mats)
         n = 2 * (z + 1)
         big = np.zeros((n, n), dtype=np.complex128)
@@ -120,7 +121,7 @@ class TestUflat2:
             flat = u.conj().T @ m @ u
             assert np.max(np.abs(np.diagonal(flat) - np.trace(m) / 2)) <= scale, (k, m)
             block = cur[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
-            assert np.max(np.abs(block - flat)) <= scale, (k, m)
+            assert np.max(np.abs(block @ u - flat)) <= scale, (k, m)
 
 
 class TestUflatgen:
@@ -185,14 +186,20 @@ class TestUflatgen:
             assert seen == list(range(want))
 
     def test_blocks_equalize_layer_by_layer(self):
-        # After layer p the diagonal is constant on aligned blocks of
-        # width 2**(p+1); later layers must not break earlier blocks.
+        # After layer p the diagonal of U M_pad U* is constant on aligned
+        # blocks of width 2**(p+1); later layers must not break earlier
+        # blocks.  The payload is P = U M_pad[:, :d], so U[:, :d] = P M^-1.
         rng = np.random.default_rng(207)
         for d in (4, 6, 8, 16):
             m = random_square(rng, d)
             fro = np.linalg.norm(m, "fro")
+            m_inv = np.linalg.inv(m)
             diags = []
-            uflatgen(m, on_layer=lambda p, cur: diags.append(np.diagonal(cur).copy()))
+
+            def record(p, prod):
+                diags.append(np.einsum("ij,ij->i", prod, (prod @ m_inv).conj()))
+
+            uflatgen(m, on_layer=record)
             for p, diag in enumerate(diags):
                 width = 1 << (p + 1)
                 for start in range(0, diag.size, width):
@@ -204,11 +211,11 @@ class TestUflatgen:
     def test_layers_match_dense_reference(self, d):
         # Reference: layer p is the dense unitary L holding uflat2 of each
         # pair (i, i + 2**p) of the previous matrix; the layer yields L* M L
-        # and the unitary accumulates L*.
+        # and the unitary accumulates L*.  Each payload is U M_pad[:, :d].
         rng = np.random.default_rng([208, d])
         m = random_square(rng, d)
         layers = []
-        result = uflatgen(m, on_layer=lambda p, cur: layers.append(cur.copy()))
+        result = uflatgen(m, on_layer=lambda p, prod: layers.append(prod.copy()))
         n = result.padded_dim
         prev = np.zeros((n, n), dtype=np.complex128)
         prev[:d, :d] = m
@@ -220,9 +227,9 @@ class TestUflatgen:
                 if not i & step:
                     pair = np.ix_([i, i + step], [i, i + step])
                     layer[pair] = uflat2(prev[pair])
-            assert np.max(np.abs(got - layer.conj().T @ prev @ layer)) <= 1e-12
             u_ref = layer.conj().T @ u_ref
-            prev = got
+            prev = layer.conj().T @ prev @ layer
+            assert np.max(np.abs(got - u_ref[:, :d] @ m)) <= 1e-12
         assert np.max(np.abs(result.unitary - u_ref)) <= 1e-12
 
     def test_verify_flat_catches_wrong_unitary(self):
@@ -268,8 +275,56 @@ class TestUflatgen:
         with pytest.raises(DimensionMismatchError):
             uflatgen_stack(np.ones((2, 0, 0)))
 
+    def test_layer_payload_is_read_only(self):
+        # The hook sees the live product U M_pad[:, :d] and cannot change it.
+        rng = np.random.default_rng(209)
+        ms = np.array([random_square(rng, 6) for _ in range(3)])
+        shapes = []
+
+        def scribble(p, prod):
+            shapes.append(prod.shape)
+            with pytest.raises(ValueError):
+                prod[..., 0, 0] = 1e6
+
+        result = uflatgen(ms[0], on_layer=scribble)
+        plain = uflatgen(ms[0])
+        assert np.array_equal(result.unitary, plain.unitary)
+        assert result.residual == plain.residual
+        unitaries, residuals = uflatgen_stack(ms, scribble)
+        plain_u, plain_residuals = uflatgen_stack(ms)
+        assert np.array_equal(unitaries, plain_u)
+        assert np.array_equal(residuals, plain_residuals)
+        assert shapes == [(8, 6)] * 3 + [(3, 8, 6)] * 3
+
     def test_rejects_tiny_and_crooked_input(self):
         with pytest.raises(DimensionMismatchError):
             uflatgen(np.ones((1, 1)))
         with pytest.raises(DimensionMismatchError):
             uflatgen(np.ones((2, 3)))
+
+
+class TestUflatgenStack:
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 33])
+    def test_stack_matches_single_calls(self, d):
+        # A zero, a diagonal and four random matrices share one layer loop;
+        # each must come out as its own uflatgen call does.
+        rng = np.random.default_rng([210, d])
+        ms = [np.zeros((d, d)), np.diag(rng.standard_normal(d))]
+        ms += [random_square(rng, d) for _ in range(4)]
+        ms = np.array(ms, dtype=np.complex128)
+        n = 1 << (d - 1).bit_length()
+        unitaries, residuals = uflatgen_stack(ms)
+        assert unitaries.shape == (6, n, n)
+        assert residuals.shape == (6,)
+        for m, u, residual in zip(ms, unitaries, residuals):
+            single = uflatgen(m)
+            assert np.max(np.abs(u - single.unitary)) <= 1e-12
+            assert abs(residual - single.residual) <= 1e-12
+            checked = verify_flat(m, FlatteningResult(u, n, d, residual))
+            assert abs(residual - checked) <= 1e-12 * (1 + np.linalg.norm(m))
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (3, 4), (5, 8)])
+    def test_empty_stack(self, d, n):
+        unitaries, residuals = uflatgen_stack(np.zeros((0, d, d)))
+        assert unitaries.shape == (0, n, n)
+        assert residuals.shape == (0,)
