@@ -28,7 +28,6 @@ from .linalg import (
 from .simulator import (
     VerificationReport,
     multipartite_success_probability,
-    sample_run,
     success_probability,
 )
 from .synthesis import (
@@ -66,7 +65,6 @@ __all__ = [
     "epsilon_truncate",
     "multipartite_success_probability",
     "overlap_matrix",
-    "sample_run",
     "stinespring",
     "success_probability",
     "synthesize",

@@ -44,33 +44,6 @@ class VerificationReport:
     kept_mass: tuple[float, float]
 
 
-def _checked_rows(protocol: Protocol, *states: StateVector):
-    """Outcome rows of each state and the decoder rows, once the protocol's measurement passes.
-
-    A state is read as a (d_A, d_B) amplitude matrix in the protocol's role
-    order; row i of its result is the second party's unnormalized state
-    after outcome i.  The decoders come as :func:`_decoder_rows` gives them.
-    Raises DimensionMismatchError for a state that does not fit the
-    protocol and ValueError for a measurement that fails.
-    """
-    mats = [s.amplitudes.reshape(s.dims) for s in states]
-    mats = [m.T if protocol.swapped else m for m in mats]
-    for m in mats:
-        if m.shape != (protocol.original_dim_a, protocol.dim_b):
-            raise DimensionMismatchError(
-                f"states of dims {m.shape} do not fit a protocol on "
-                f"({protocol.original_dim_a}, {protocol.dim_b})"
-            )
-    b, measured = _decoder_rows(protocol.bob_projectors, protocol.dim_b)
-    _check_measurements(protocol.alice_vectors, b, measured)
-    return [_outcome_rows(protocol.alice_vectors, m) for m in mats], b, measured
-
-
-def _outcome_rows(alice_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Row i: the rest's state after outcome i; padding columns would meet zero rows of m."""
-    return alice_vectors[..., : m.shape[-2]].conj() @ m
-
-
 def _decoder_rows(decoders, d_b: int) -> tuple[np.ndarray, np.ndarray]:
     """The decoders as (n, d_B) rows, and the mask of those that measure.
 
@@ -99,21 +72,13 @@ def _check_measurements(u: np.ndarray, b: np.ndarray, measured: np.ndarray) -> N
         raise ValueError(f"decoder {bad[0]} has norm {norms[bad[0]]!r}, not 1")
 
 
-def _stacks(arrays):
-    """(positions, stacked arrays) for each shape among the arrays that are not None."""
-    groups: dict = {}
-    for i, a in enumerate(arrays):
-        if a is not None:
-            groups.setdefault(a.shape, []).append(i)
-    return [(where, np.array([arrays[i] for i in where])) for where in groups.values()]
-
-
 def _outcome_table(cond_psi: np.ndarray, cond_phi: np.ndarray, b: np.ndarray, measured):
-    """Per-outcome probabilities and correct-guess masses, from the outcome rows of both states.
+    """Per-outcome quantities from the (B, n, d_B) outcome rows of both states.
 
-    The rows may be (n, d_B) or a (B, n, d_B) stack, with the decoder rows
-    ``b`` and their mask ``measured`` in the same order as the rows; every
-    result has the rows' leading shape.
+    ``b`` and ``measured`` are the decoder rows and their mask in the same
+    order as the rows.  Row k of the (5, B n) result is, for each outcome,
+    k = 0, 1 its probability under psi and under phi, k = 2, 3 the mass of a
+    correct guess under psi and under phi, and k = 4 |<cond_phi|cond_psi>|.
     """
     q_psi = np.einsum("...ij,...ij->...i", cond_psi.conj(), cond_psi).real
     q_phi = np.einsum("...ij,...ij->...i", cond_phi.conj(), cond_phi).real
@@ -121,7 +86,48 @@ def _outcome_table(cond_psi: np.ndarray, cond_phi: np.ndarray, b: np.ndarray, me
     ok_psi = np.abs(np.einsum("...ij,...ij->...i", b, cond_psi)) ** 2
     hit_phi = np.abs(np.einsum("...ij,...ij->...i", b, cond_phi)) ** 2
     ok_phi = np.where(measured.reshape(q_psi.shape), np.maximum(q_phi - hit_phi, 0.0), q_phi)
-    return q_psi, q_phi, ok_psi, ok_phi
+    overlap = np.abs(np.einsum("...ij,...ij->...i", cond_phi.conj(), cond_psi))
+    return np.array([q_psi, q_phi, ok_psi, ok_phi, overlap]).reshape(5, -1)
+
+
+def _score_level(nodes, pairs, factors: tuple[int, ...]):
+    """Score one level of nodes on the conditional pairs they receive.
+
+    ``pairs`` holds two (nodes, ...) arrays, the unnormalized psi and phi
+    conditional states that each node receives, with ``factors`` left to
+    measure.  The Protocol leaves and the branch nodes are grouped by kind
+    and basis shape; each group's bases and decoders pass one check, and
+    its outcome rows come from one product per state.  Returns the outcome
+    table (:func:`_outcome_table`) of each leaf group, the children of the
+    branch nodes, and the two (children, rest) arrays of the pairs those
+    receive (None without children).  Raises ValueError as
+    :func:`_check_measurements` does.
+    """
+    groups: dict = {}
+    for j, node in enumerate(nodes):
+        if isinstance(node, (Protocol, BranchNode)):
+            groups.setdefault((type(node), node.alice_vectors.shape), []).append(j)
+    tables, children, rows = [], [], ([], [])
+    for where in groups.values():
+        group = [nodes[j] for j in where]
+        bases = [node.alice_vectors for node in group]
+        # A lone basis, and the pairs of a group of every node, are taken without a
+        # copy: on a bipartite protocol each copy adds a state-sized buffer.
+        u = np.array(bases) if where[1:] else bases[0][None]
+        mine = pairs if len(where) == len(nodes) else [p[where] for p in pairs]
+        found = [b for node in group for b in getattr(node, "bob_projectors", ())]
+        b, measured = _decoder_rows(found, factors[-1])
+        _check_measurements(u, b, measured)
+        # Row i of cond[s][k]: the rest's state after outcome i of group[k], under
+        # psi (s = 0) or phi (s = 1); padding columns would meet zero rows.
+        cond = [u[..., : factors[0]].conj() @ p.reshape(len(where), factors[0], -1) for p in mine]
+        if isinstance(group[0], Protocol):
+            tables.append(_outcome_table(*cond, b, measured))
+        else:
+            children.extend(c for node in group for c in node.children)
+            for kept, c in zip(rows, cond):
+                kept.append(c.reshape(-1, c.shape[-1]))
+    return tables, children, [np.concatenate(r) for r in rows] if children else None
 
 
 def success_probability(
@@ -133,17 +139,25 @@ def success_probability(
     """Exact success probability of a protocol on a state pair, equal prior.
 
     With a truncation ``plan``, outcomes outside the kept set count as
-    failures under both hypotheses.  Raises ValueError when the measurement
-    rows are not orthonormal, a decoder is not a unit vector, or the plan
-    keeps a repeated or out-of-range outcome.
+    failures under both hypotheses.  Raises DimensionMismatchError for
+    states that do not fit the protocol, and ValueError when the
+    measurement rows are not orthonormal, a decoder is not a unit vector,
+    or the plan keeps a repeated or out-of-range outcome.
     """
     start = time.perf_counter()
     pair_overlap(psi, phi)
-    (cond_psi, cond_phi), b, measured = _checked_rows(protocol, psi, phi)
-    q_psi, q_phi, ok_psi, ok_phi = _outcome_table(cond_psi, cond_phi, b, measured)
+    mats = [s.amplitudes.reshape(s.dims) for s in (psi, phi)]
+    # Both states as (d_A, d_B) amplitude matrices in the protocol's role order.
+    mats = [m.T for m in mats] if protocol.swapped else mats
+    factors = (protocol.original_dim_a, protocol.dim_b)
+    if mats[0].shape != factors:
+        raise DimensionMismatchError(
+            f"states of dims {mats[0].shape} do not fit a protocol on {factors}"
+        )
+    [table], _, _ = _score_level([protocol], [m[None] for m in mats], factors)
+    q_psi, q_phi, ok_psi, ok_phi, overlap = table
     both = (q_psi > TAU_ZERO**2) & (q_phi > TAU_ZERO**2)
-    overlaps = np.abs(np.einsum("ij,ij->i", cond_phi[both].conj(), cond_psi[both]))
-    residual = np.max(overlaps / np.sqrt(q_psi[both] * q_phi[both]), initial=0.0)
+    residual = np.max(overlap[both] / np.sqrt(q_psi[both] * q_phi[both]), initial=0.0)
 
     keep = np.ones(len(q_psi), dtype=bool)
     if plan is not None:
@@ -171,50 +185,13 @@ def success_probability(
     )
 
 
-def sample_run(
-    state: StateVector,
-    protocol: Protocol,
-    seed: int,
-    shots: int,
-    truth: str = "psi",
-) -> float:
-    """Monte Carlo estimate of the success frequency on one input state.
-
-    ``truth`` names which of the two hypotheses ``state`` actually is, so
-    the sampled guesses can be scored.  Outcomes are drawn by inverse CDF
-    over the exact outcome probabilities; runs are reproducible from the
-    seed alone.  Raises ValueError when the measurement rows are not
-    orthonormal or a decoder is not a unit vector.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if truth not in ("psi", "phi"):
-        raise ValueError(f"truth must be 'psi' or 'phi', got {truth!r}")
-    state.require_normalized()
-    (cond,), b, measured = _checked_rows(protocol, state)
-    q, _, hit, _ = _outcome_table(cond, cond, b, measured)
-    guess_psi_prob = np.divide(hit, q, out=np.zeros_like(q), where=q > 0.0)
-
-    cdf = np.cumsum(q)
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    u_outcome = rng.random(shots)
-    u_guess = rng.random(shots)
-    idx = np.searchsorted(cdf, u_outcome, side="right")
-    idx = np.minimum(idx, len(q) - 1)
-    guessed_psi = u_guess < guess_psi_prob[idx]
-    want_psi = truth == "psi"
-    return float(np.mean(guessed_psi == want_psi))
-
-
 def multipartite_success_probability(
     psi: StateVector, phi: StateVector, protocol: MultipartiteProtocol
 ) -> float:
     """Exact success probability of a protocol tree, by full enumeration, level by level.
 
-    The conditional pairs of a level are stacked, and the outcome rows of
-    every measuring node with one basis shape come from one product, after
-    one check of those bases and their leaves' decoders.
+    Each level is scored by :func:`_score_level` on the conditional pairs
+    its nodes receive, stacked.
     Raises ValueError when a node does not fit the factors dims[k:] left at
     its depth k, the measurement rows of some node are not orthonormal, or
     a leaf decoder is not a unit vector.  A BranchNode measures dims[k],
@@ -228,32 +205,21 @@ def multipartite_success_probability(
             f"states on dims {psi.dims} do not fit a protocol on {protocol.dims}"
         )
     nodes = [protocol.root]
-    # pairs[:, j] is the unnormalized (psi, phi) conditional pair that nodes[j] receives.
-    pairs = np.stack([psi.amplitudes, phi.amplitudes])[:, None]
+    # pairs[s][j] is the unnormalized psi (s = 0) or phi (s = 1) state that nodes[j] receives.
+    pairs = [psi.amplitudes[None], phi.amplitudes[None]]
     ok = np.zeros(2)
     for depth in range(len(protocol.dims) + 1):
         factors = protocol.dims[depth:]
         for node in nodes:
             _check_placement(node, factors, depth)
-        mass = np.einsum("sbi,sbi->sb", pairs.conj(), pairs).real
-        ok[0] += mass[0, [isinstance(n, GuessLeaf) and n.guess == "psi" for n in nodes]].sum()
-        ok[1] += mass[1, [isinstance(n, GuessLeaf) and n.guess != "psi" for n in nodes]].sum()
-        children: list = []
-        rows: list = []
-        for where, u in _stacks([getattr(node, "alice_vectors", None) for node in nodes]):
-            group = [nodes[j] for j in where]
-            cond = _outcome_rows(u, pairs[:, where].reshape(2, len(where), factors[0], -1))
-            leaf = np.array([isinstance(node, Protocol) for node in group])
-            found = [b for node in group if isinstance(node, Protocol) for b in node.bob_projectors]
-            b, measured = _decoder_rows(found, cond.shape[-1])
-            _check_measurements(u, b, measured)
-            _, _, hit_psi, hit_phi = _outcome_table(cond[0, leaf], cond[1, leaf], b, measured)
-            ok += hit_psi.sum(), hit_phi.sum()
-            children.extend(c for n in group if isinstance(n, BranchNode) for c in n.children)
-            rows.append(cond[:, ~leaf].reshape(2, -1, cond.shape[-1]))
-        if not children:
+        mass = [np.einsum("bi,bi->b", p.conj(), p).real for p in pairs]
+        ok[0] += mass[0][[isinstance(n, GuessLeaf) and n.guess == "psi" for n in nodes]].sum()
+        ok[1] += mass[1][[isinstance(n, GuessLeaf) and n.guess != "psi" for n in nodes]].sum()
+        tables, nodes, pairs = _score_level(nodes, pairs, factors)
+        for table in tables:
+            ok += table[2].sum(), table[3].sum()
+        if not nodes:
             break
-        nodes, pairs = children, np.concatenate(rows, axis=1)
     return 0.5 * float(ok.sum())
 
 

@@ -58,7 +58,6 @@ PUBLIC_NAMES = [
     "epsilon_truncate",
     "multipartite_success_probability",
     "overlap_matrix",
-    "sample_run",
     "stinespring",
     "success_probability",
     "synthesize",

@@ -1,4 +1,4 @@
-"""Protocol evaluation: exact scoring, truncation plans, sampling."""
+"""Protocol evaluation: exact scoring of protocols and trees, truncation plans."""
 
 from dataclasses import replace
 
@@ -16,7 +16,6 @@ from loccsynth import (
     TruncatedMessagePlan,
     epsilon_truncate,
     multipartite_success_probability,
-    sample_run,
     success_probability,
     synthesize,
     synthesize_multipartite,
@@ -169,58 +168,6 @@ class TestSuccessProbability:
                 assert got >= last - 1e-12
                 last = got
             assert last >= 1 - 1e-9  # full prefix keeps everything
-
-
-class TestSampleRun:
-    def test_perfect_protocol_never_misses(self):
-        psi, phi = bell_pair()
-        protocol = synthesize(psi, phi)
-        assert sample_run(psi, protocol, seed=7, shots=10_000, truth="psi") == 1.0
-        assert sample_run(phi, protocol, seed=7, shots=10_000, truth="phi") == 1.0
-
-    def test_coin_flip_frequency(self):
-        psi, _ = bell_pair()
-        freq = sample_run(psi, coin_flip_protocol(), seed=42, shots=100_000, truth="psi")
-        assert abs(freq - 0.5) <= 0.008  # five sigma at this sample size
-
-    def test_single_shot_is_binary(self):
-        psi, phi = bell_pair()
-        protocol = synthesize(psi, phi)
-        assert sample_run(psi, protocol, seed=1, shots=1) in (0.0, 1.0)
-
-    def test_reproducible_from_seed(self):
-        psi, _ = bell_pair()
-        protocol = coin_flip_protocol()
-        a = sample_run(psi, protocol, seed=99, shots=1000)
-        b = sample_run(psi, protocol, seed=99, shots=1000)
-        assert a == b
-
-    @pytest.mark.parametrize(
-        "scale_u, scale_b, message",
-        [(3.0, 3.0, "orthonormal"), (1.0, 3.0, "decoder 0"), (np.nan, 1.0, "orthonormal")],
-    )
-    def test_rejects_protocol_that_is_not_a_measurement(self, scale_u, scale_b, message):
-        # Unchecked, 3 I with decoders 3 e0 samples a plausible 0.507 on the Bell pair.
-        psi, _ = bell_pair()
-        with pytest.raises(ValueError, match=message):
-            sample_run(psi, coin_flip_protocol(scale_u, scale_b), seed=1, shots=1000)
-
-    def test_rejects_bad_arguments(self):
-        psi, phi = bell_pair()
-        protocol = synthesize(psi, phi)
-        with pytest.raises(ValueError):
-            sample_run(psi, protocol, seed=1, shots=0)
-        with pytest.raises(ValueError):
-            sample_run(psi, protocol, seed=1, shots=10, truth="maybe")
-
-    def test_unnormalized_state_rejected(self):
-        psi, phi = bell_pair()
-        protocol = synthesize(psi, phi)
-        crooked = StateVector((2, 2), [1, 0, 0, 1])
-        from loccsynth import NotNormalizedError
-
-        with pytest.raises(NotNormalizedError):
-            sample_run(crooked, protocol, seed=1, shots=10)
 
 
 class TestMultipartiteSuccessProbability:
