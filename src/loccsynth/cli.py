@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands: synthesize, verify, flatten, envcode, bench.  Exit codes:
-0 success, 1 parse or validation failure, 2 domain precondition violation
-(non-orthogonal states, channel input too small), 3 verification failure.
-The commands return 0, 3 and their own checks' codes; :func:`main` turns
-NonOrthogonalInputError into 2 and any other error into 1.
+0 success, 1 usage, parse or validation failure, 2 domain precondition
+violation (non-orthogonal states, channel input too small), 3 verification
+failure.  The parser exits 1 on bad usage; the commands return 0, 3 and
+their own checks' codes; :func:`main` turns NonOrthogonalInputError into 2
+and any other error into 1.
 """
 
 from __future__ import annotations
@@ -249,8 +250,16 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
     return sizes
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loccsynth",
         description="Synthesize and verify one-way discrimination protocols "
         "for orthogonal pure states.",

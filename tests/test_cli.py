@@ -95,6 +95,18 @@ class TestSynthesize:
         assert proc.returncode == 1
         assert "synthesize_multipartite" in proc.stderr
 
+    def test_one_factor_states_exit_1_without_the_multipartite_hint(self, tmp_path):
+        # The hint for three or more factors was given here too.
+        psi, phi = random_orthogonal_pair(np.random.default_rng(703), (12,))
+        psi_path = str(tmp_path / "psi.json")
+        phi_path = str(tmp_path / "phi.json")
+        formats.save_state(psi_path, psi)
+        formats.save_state(phi_path, phi)
+        proc = run_cli("synthesize", psi_path, phi_path)
+        assert proc.returncode == 1
+        assert "two-factor states, got dims (12,) and (12,)" in proc.stderr
+        assert "multipartite" not in proc.stderr
+
     def test_missing_file_exit_1(self, tmp_path):
         proc = run_cli("synthesize", str(tmp_path / "nope.json"), str(tmp_path / "nope.json"))
         assert proc.returncode == 1
@@ -663,10 +675,30 @@ class TestUsage:
         flattened = capsys.readouterr().out
         with pytest.raises(SystemExit) as caught:
             cli.main(["flatten", m_path, "--epsilon", "0.6"])
-        assert caught.value.code == 2
+        assert caught.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert cli.main(["flatten", m_path]) == 0
         assert capsys.readouterr().out == flattened == run_cli("flatten", m_path).stdout
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("flatten", "m.json", "--epsilon", "0.6"), "unrecognized arguments"),
+            ((), "required: command"),
+            (("bench", "flatten", "--sizes", "8,x"), "bad size list"),
+        ],
+    )
+    def test_usage_errors_exit_1(self, argv, message):
+        # argparse exits 2 on bad usage, the code of a violated precondition here.
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: loccsynth")
+        assert message in proc.stderr
+
+    def test_subcommand_help_exits_0(self):
+        proc = run_cli("bench", "--help")
+        assert proc.returncode == 0
+        assert "--sizes" in proc.stdout
 
     def test_help_lists_subcommands(self):
         proc = run_cli("--help")
