@@ -162,9 +162,10 @@ def synthesize(psi: StateVector, phi: StateVector, swap_roles: bool = True) -> P
     ``swap_roles=False`` to force the first factor to measure regardless.
     """
     if len(psi.dims) != 2 or len(phi.dims) != 2:
+        many = min(len(psi.dims), len(phi.dims)) >= 3
         raise DimensionMismatchError(
-            f"synthesize takes two-factor states, got dims {psi.dims} and {phi.dims}; "
-            "use synthesize_multipartite for three or more factors"
+            f"synthesize takes two-factor states, got dims {psi.dims} and {phi.dims}"
+            + ("; use synthesize_multipartite for three or more factors" if many else "")
         )
     ov = orthogonal_overlap(psi, phi)
     # One pair of (d_A, d_B) amplitude matrices, stacked as (2, 1, d_A, d_B).
