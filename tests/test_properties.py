@@ -3,7 +3,8 @@
 Fillmore (Amer. Math. Monthly 76, 1969): every matrix is unitarily similar
 to one with a constant diagonal.  Walgate, Short, Hardy & Vedral (PRL 85,
 4972, 2000): every pair of orthogonal pure states is perfectly
-distinguishable by one-way LOCC.
+distinguishable by one-way LOCC.  The construction's structure shows too:
+a unitary on the decoding party's side leaves the measuring basis alone.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthogonal_pair
+from conftest import random_orthogonal_pair, random_unitary
 from loccsynth import (
     TAU_ORTH,
     FlatteningResult,
@@ -126,3 +127,38 @@ class TestWalgate:
         psi, phi = StateVector((2, 2), psi), StateVector((2, 2), phi)
         for a, b in ((psi, phi), (phi, psi)):
             assert success_probability(a, b, synthesize(a, b)).success_prob >= 1.0 - 1e-9
+
+
+class TestDecoderSideUnitary:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=25)
+    @given(d_a=st.integers(1, 6), d_b=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_basis_stays_and_decoders_turn(self, d_a, d_b, seed):
+        # M = conj(m_phi) m_psi^T is the same for both states moved by I (x) V,
+        # so the basis is the same; each decoder turns to V r, and the score stays.
+        if d_a * d_b < 2:
+            d_b = 2  # one dimension holds no orthogonal pair
+        rng = np.random.default_rng(seed)
+        psi, phi = random_orthogonal_pair(rng, (d_a, d_b))
+        protocol = synthesize(psi, phi)
+        # V acts on the party that decodes: the first factor when the roles are swapped.
+        v = random_unitary(rng, d_a if protocol.swapped else d_b)
+
+        def moved(state):
+            m = state.amplitudes.reshape(state.dims)
+            return StateVector(state.dims, (v @ m if protocol.swapped else m @ v.T).reshape(-1))
+
+        psi_v, phi_v = moved(psi), moved(phi)
+        turned = synthesize(psi_v, phi_v)
+        assert turned.swapped == protocol.swapped
+        assert np.max(np.abs(turned.alice_vectors - protocol.alice_vectors)) <= 1e-12
+        for r, r_v in zip(protocol.bob_projectors, turned.bob_projectors):
+            assert (r is None) == (r_v is None)
+            if r is not None:
+                assert np.max(np.abs(r_v - v @ r)) <= 1e-12
+        before = success_probability(psi, phi, protocol)
+        after = success_probability(psi_v, phi_v, turned)
+        assert abs(after.success_prob - before.success_prob) <= 1e-12
+        outcomes = np.subtract(after.per_outcome_success, before.per_outcome_success)
+        assert np.max(np.abs(outcomes)) <= 1e-12
+        assert abs(after.max_orthogonality_residual - before.max_orthogonality_residual) <= 1e-12
+        assert np.max(np.abs(np.subtract(after.kept_mass, before.kept_mass))) <= 1e-12

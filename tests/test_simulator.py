@@ -251,6 +251,18 @@ class TestTreePlacement:
             multipartite_success_probability(psi, phi, tree)
 
 
+def reference_leaf_masses(leaf, c_psi, c_phi):
+    """(q_psi, q_phi, ok_psi, ok_phi) of each outcome of a leaf, from its outcome rows."""
+    masses = []
+    for b, x, y in zip(leaf.bob_projectors, c_psi, c_phi):
+        q_psi, q_phi = np.vdot(x, x).real, np.vdot(y, y).real
+        if b is None:
+            masses.append((q_psi, q_phi, 0.0, q_phi))
+        else:
+            masses.append((q_psi, q_phi, abs(np.vdot(b, x)) ** 2, q_phi - abs(np.vdot(b, y)) ** 2))
+    return masses
+
+
 def reference_tree_success(node, a_psi, a_phi, dims):
     """Correct-guess masses of a subtree, walked one node at a time."""
     if node is None:
@@ -262,13 +274,8 @@ def reference_tree_success(node, a_psi, a_phi, dims):
     c_psi = rows @ a_psi.reshape(dims[0], -1)
     c_phi = rows @ a_phi.reshape(dims[0], -1)
     if isinstance(node, Protocol):
-        ok_psi = ok_phi = 0.0
-        for b, x, y in zip(node.bob_projectors, c_psi, c_phi):
-            ok_phi += np.vdot(y, y).real
-            if b is not None:
-                ok_psi += abs(np.vdot(b, x)) ** 2
-                ok_phi -= abs(np.vdot(b, y)) ** 2
-        return ok_psi, ok_phi
+        masses = reference_leaf_masses(node, c_psi, c_phi)
+        return sum(m[2] for m in masses), sum(m[3] for m in masses)
     parts = [reference_tree_success(*z, dims[1:]) for z in zip(node.children, c_psi, c_phi)]
     return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
@@ -324,3 +331,79 @@ class TestTreeLevels:
         success = multipartite_success_probability(psi, phi, tree)
         assert abs(success - reference_success(psi, phi, tree)) <= 1e-12
         assert 0.0 < success < 1.0
+
+
+class TestProtocolAgainstReference:
+    """A bipartite report, scored as a one-node level, against the outcome-by-outcome walk."""
+
+    @staticmethod
+    def check(psi, phi, protocol, plan=None):
+        mats = [s.amplitudes.reshape(s.dims) for s in (psi, phi)]
+        mats = [m.T for m in mats] if protocol.swapped else mats
+        dims = (protocol.original_dim_a, protocol.dim_b)
+        rows = protocol.alice_vectors[:, : dims[0]].conj()
+        masses = reference_leaf_masses(protocol, rows @ mats[0], rows @ mats[1])
+        kept = range(len(masses)) if plan is None else plan.kept_outcomes
+        report = success_probability(psi, phi, protocol, plan)
+        success = 0.5 * sum(masses[i][2] + masses[i][3] for i in kept)
+        assert abs(report.success_prob - success) <= 1e-12
+        if plan is None:
+            walked = reference_tree_success(protocol, *(m.reshape(-1) for m in mats), dims)
+            assert abs(report.success_prob - 0.5 * sum(walked)) <= 1e-12
+        for i, (q_psi, q_phi, ok_psi, ok_phi) in enumerate(masses):
+            got = report.per_outcome_success[i]
+            weight = 0.5 * (q_psi + q_phi)
+            conditional = 0.5 * (ok_psi + ok_phi) / weight if i in kept else 0.0
+            assert np.max(np.abs(np.subtract(got, (weight, conditional)))) <= 1e-12
+        kept_mass = [sum(masses[i][k] for i in kept) for k in (0, 1)]
+        assert np.max(np.abs(np.subtract(report.kept_mass, kept_mass))) <= 1e-12
+        return report
+
+    def test_hand_built_swapped_protocol_with_phi_answers(self):
+        # The second factor measures through a padded 4 x 4 basis; two outcomes answer phi.
+        rng = np.random.default_rng(931)
+        psi, phi = random_orthogonal_pair(rng, (4, 3))
+
+        def unit():
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            return v / np.linalg.norm(v)
+
+        protocol = Protocol(
+            alice_vectors=random_unitary(rng, 4),
+            bob_projectors=(unit(), None, unit(), None),
+            outcome_probs_psi=np.full(4, 0.25),
+            outcome_probs_phi=np.full(4, 0.25),
+            padded_dim_a=4,
+            original_dim_a=3,
+            dim_b=4,
+            swapped=True,
+        )
+        report = self.check(psi, phi, protocol)
+        assert 0.0 < report.success_prob < 1.0
+
+    def test_unpadded_three_outcome_basis(self):
+        rng = np.random.default_rng(932)
+        psi, phi = random_orthogonal_pair(rng, (3, 2))
+        decoders = []
+        for _ in range(3):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            decoders.append(v / np.linalg.norm(v))
+        protocol = Protocol(
+            alice_vectors=random_unitary(rng, 3),
+            bob_projectors=tuple(decoders),
+            outcome_probs_psi=np.full(3, 1 / 3),
+            outcome_probs_phi=np.full(3, 1 / 3),
+            padded_dim_a=3,
+            original_dim_a=3,
+            dim_b=2,
+        )
+        self.check(psi, phi, protocol)
+
+    def test_synthesized_protocol_with_a_plan(self):
+        psi, phi = random_orthogonal_pair(np.random.default_rng(933), (6, 5))
+        protocol = synthesize(psi, phi)
+        plan = epsilon_truncate(protocol, 0.3)
+        assert 0 < len(plan.kept_outcomes) < protocol.padded_dim_a
+        report = self.check(psi, phi, protocol, plan)
+        dropped = set(range(protocol.padded_dim_a)) - set(plan.kept_outcomes)
+        assert all(report.per_outcome_success[i][1] == 0.0 for i in dropped)
