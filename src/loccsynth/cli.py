@@ -1,11 +1,10 @@
 """Command line front end.
 
 Subcommands: synthesize, verify, flatten, envcode, bench.  Exit codes:
-0 success, 1 usage, parse or validation failure, 2 domain precondition
+0 success, 1 bad usage, parse or validation failure, 2 domain precondition
 violation (non-orthogonal states, channel input too small), 3 verification
-failure.  The parser exits 1 on bad usage; the commands return 0, 3 and
-their own checks' codes; :func:`main` turns NonOrthogonalInputError into 2
-and any other error into 1.
+failure.  The commands return 0, 3 and their own checks' codes; :func:`main`
+turns NonOrthogonalInputError into 2 and any other error into 1.
 """
 
 from __future__ import annotations

@@ -57,9 +57,9 @@ def _decoder_rows(decoders, d_b: int) -> tuple[np.ndarray, np.ndarray]:
 def _check_measurements(u: np.ndarray, b: np.ndarray, measured: np.ndarray) -> None:
     """Refuse measurement rows that are not orthonormal and decoders that are not unit vectors.
 
-    ``u`` is one basis or a stack of them, a vector per row; ``b`` and
-    ``measured`` are decoder rows and their mask from :func:`_decoder_rows`.
-    Rows that do not measure need no check; a bad decoder is named by its row.
+    ``u`` is a stack of bases, a vector per row; ``b`` and ``measured`` are
+    decoder rows and their mask from :func:`_decoder_rows`.  Rows that do not
+    measure need no check; a bad decoder is named by its row.
     """
     # Written as "not within tolerance" so that NaN entries fail the checks.
     gram = u @ u.conj().swapaxes(-1, -2)
@@ -91,28 +91,24 @@ def _outcome_table(cond_psi: np.ndarray, cond_phi: np.ndarray, b: np.ndarray, me
 
 
 def _score_level(nodes, pairs, factors: tuple[int, ...]):
-    """Score one level of nodes on the conditional pairs they receive.
+    """Score one level of nodes on the two (nodes, ...) psi and phi states they receive.
 
-    ``pairs`` holds two (nodes, ...) arrays, the unnormalized psi and phi
-    conditional states that each node receives, with ``factors`` left to
-    measure.  The Protocol leaves and the branch nodes are grouped by kind
-    and basis shape; each group's bases and decoders pass one check, and
-    its outcome rows come from one product per state.  Returns the outcome
-    table (:func:`_outcome_table`) of each leaf group, the children of the
-    branch nodes, and the two (children, rest) arrays of the pairs those
-    receive (None without children).  Raises ValueError as
-    :func:`_check_measurements` does.
+    ``factors`` are the dims left to measure.  Protocol leaves and branch
+    nodes are grouped by kind and basis shape; each group passes one
+    :func:`_check_measurements` and takes one product per state.  Returns
+    each leaf group's :func:`_outcome_table`, the branch nodes' children,
+    and the two (children, rest) arrays of the states those receive.
     """
     groups: dict = {}
     for j, node in enumerate(nodes):
         if isinstance(node, (Protocol, BranchNode)):
             groups.setdefault((type(node), node.alice_vectors.shape), []).append(j)
-    tables, children, rows = [], [], ([], [])
+    tables, children, rows = [], [], []
     for where in groups.values():
         group = [nodes[j] for j in where]
         bases = [node.alice_vectors for node in group]
-        # A lone basis, and the pairs of a group of every node, are taken without a
-        # copy: on a bipartite protocol each copy adds a state-sized buffer.
+        # A lone basis, and the pairs of a group of every node, are taken without a copy.
+        # At (40, 100) a copy's state-sized buffer made malloc trim and refault the heap.
         u = np.array(bases) if where[1:] else bases[0][None]
         mine = pairs if len(where) == len(nodes) else [p[where] for p in pairs]
         found = [b for node in group for b in getattr(node, "bob_projectors", ())]
@@ -125,9 +121,8 @@ def _score_level(nodes, pairs, factors: tuple[int, ...]):
             tables.append(_outcome_table(*cond, b, measured))
         else:
             children.extend(c for node in group for c in node.children)
-            for kept, c in zip(rows, cond):
-                kept.append(c.reshape(-1, c.shape[-1]))
-    return tables, children, [np.concatenate(r) for r in rows] if children else None
+            rows.append([c.reshape(-1, c.shape[-1]) for c in cond])
+    return tables, children, [np.concatenate(r) for r in zip(*rows)]
 
 
 def success_probability(
@@ -146,8 +141,8 @@ def success_probability(
     """
     start = time.perf_counter()
     pair_overlap(psi, phi)
-    mats = [s.amplitudes.reshape(s.dims) for s in (psi, phi)]
     # Both states as (d_A, d_B) amplitude matrices in the protocol's role order.
+    mats = [s.amplitudes.reshape(s.dims) for s in (psi, phi)]
     mats = [m.T for m in mats] if protocol.swapped else mats
     factors = (protocol.original_dim_a, protocol.dim_b)
     if mats[0].shape != factors:
@@ -155,7 +150,7 @@ def success_probability(
             f"states of dims {mats[0].shape} do not fit a protocol on {factors}"
         )
     [table], _, _ = _score_level([protocol], [m[None] for m in mats], factors)
-    q_psi, q_phi, ok_psi, ok_phi, overlap = table
+    q_psi, q_phi, _, _, overlap = table
     both = (q_psi > TAU_ZERO**2) & (q_phi > TAU_ZERO**2)
     residual = np.max(overlap[both] / np.sqrt(q_psi[both] * q_phi[both]), initial=0.0)
 
@@ -164,10 +159,8 @@ def success_probability(
         kept = list(plan.kept_outcomes)
         if len(set(kept)) != len(kept) or any(not 0 <= i < len(keep) for i in kept):
             raise ValueError(f"kept outcomes {kept} must be distinct indices below {len(keep)}")
-        keep[:] = False
-        keep[kept] = True
-        ok_psi = np.where(keep, ok_psi, 0.0)
-        ok_phi = np.where(keep, ok_phi, 0.0)
+        keep = np.isin(np.arange(len(keep)), kept)
+    ok_psi, ok_phi = np.where(keep, table[2:4], 0.0)
 
     success = 0.5 * (float(ok_psi.sum()) + float(ok_phi.sum()))
     weight = 0.5 * (q_psi + q_phi)
@@ -188,10 +181,8 @@ def success_probability(
 def multipartite_success_probability(
     psi: StateVector, phi: StateVector, protocol: MultipartiteProtocol
 ) -> float:
-    """Exact success probability of a protocol tree, by full enumeration, level by level.
+    """Exact success probability of a protocol tree, scored level by level by :func:`_score_level`.
 
-    Each level is scored by :func:`_score_level` on the conditional pairs
-    its nodes receive, stacked.
     Raises ValueError when a node does not fit the factors dims[k:] left at
     its depth k, the measurement rows of some node are not orthonormal, or
     a leaf decoder is not a unit vector.  A BranchNode measures dims[k],
