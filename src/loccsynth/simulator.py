@@ -150,7 +150,7 @@ def success_probability(
             f"states of dims {mats[0].shape} do not fit a protocol on {factors}"
         )
     [table], _, _ = _score_level([protocol], [m[None] for m in mats], factors)
-    q_psi, q_phi, _, _, overlap = table
+    q_psi, q_phi, ok_psi, ok_phi, overlap = table
     both = (q_psi > TAU_ZERO**2) & (q_phi > TAU_ZERO**2)
     residual = np.max(overlap[both] / np.sqrt(q_psi[both] * q_phi[both]), initial=0.0)
 
@@ -159,8 +159,9 @@ def success_probability(
         kept = list(plan.kept_outcomes)
         if len(set(kept)) != len(kept) or any(not 0 <= i < len(keep) for i in kept):
             raise ValueError(f"kept outcomes {kept} must be distinct indices below {len(keep)}")
-        keep = np.isin(np.arange(len(keep)), kept)
-    ok_psi, ok_phi = np.where(keep, table[2:4], 0.0)
+        keep[:] = False
+        keep[kept] = True
+        ok_psi, ok_phi = np.where(keep, table[2:4], 0.0)
 
     success = 0.5 * (float(ok_psi.sum()) + float(ok_phi.sum()))
     weight = 0.5 * (q_psi + q_phi)

@@ -96,7 +96,6 @@ class TestSynthesize:
         assert "synthesize_multipartite" in proc.stderr
 
     def test_one_factor_states_exit_1_without_the_multipartite_hint(self, tmp_path):
-        # The hint for three or more factors was given here too.
         psi, phi = random_orthogonal_pair(np.random.default_rng(703), (12,))
         psi_path = str(tmp_path / "psi.json")
         phi_path = str(tmp_path / "phi.json")
